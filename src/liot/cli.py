@@ -8,16 +8,19 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import select
 import sys
 import time
+import urllib.parse
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 
 from .clock import VirtualClock
 from .config import RunConfig, apply_config_pairs, read_config_file
 from .engine import Engine, ExternalInsert, export_firing_log
 from .errors import ConfigError, LiotError, SourceError
-from .gateway import GatewayServer, OutboundClient, build_outbound
+from .gateway import GatewayServer, build_outbound
 from .parser import parse_program
 from .runtime import EngineRuntime
 from .values import Value, parse_query_value, value_to_param
@@ -181,23 +184,39 @@ def generate_requests(profile: SimProfile) -> list[list[tuple[str, str]]]:
     return requests
 
 
-def run_simulation(profile: SimProfile, client: OutboundClient | None = None,
-                   timeout_ms: int = 5000) -> tuple[int, int, int]:
-    client = client or OutboundClient()
-    url = profile.url()
+def run_simulation(profile: SimProfile, timeout_ms: int = 5000) -> tuple[int, int, int]:
+    """Send the profile's requests in order over one keep-alive connection.
+
+    A connection the server has closed, after an error or while idle, is
+    replaced before the next request goes out. A request that fails counts
+    as an error and is never sent again, since the server may already have
+    applied it.
+    """
+    target = urllib.parse.urlsplit(profile.url())
+    connect = HTTPSConnection if target.scheme == "https" else HTTPConnection
+    connection = connect(target.netloc, timeout=timeout_ms / 1000.0)
     sent = ok = err = 0
-    for params in generate_requests(profile):
-        sent += 1
-        try:
-            status, _ = client.get(url, params, timeout_ms)
-            if 200 <= status < 300:
-                ok += 1
-            else:
+    try:
+        for params in generate_requests(profile):
+            sent += 1
+            path = target.path + ("?" + urllib.parse.urlencode(params) if params else "")
+            if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+                connection.close()  # readable while idle: the server closed it
+            try:
+                connection.request("GET", path)
+                with connection.getresponse() as response:
+                    response.read()
+                if 200 <= response.status < 300:
+                    ok += 1
+                else:
+                    err += 1
+            except (OSError, HTTPException):
+                connection.close()
                 err += 1
-        except (TimeoutError, OSError):
-            err += 1
-        if profile.period_ms > 0 and sent < profile.count:
-            time.sleep(profile.period_ms / 1000.0)
+            if profile.period_ms > 0 and sent < profile.count:
+                time.sleep(profile.period_ms / 1000.0)
+    finally:
+        connection.close()
     return sent, ok, err
 
 
@@ -233,9 +252,10 @@ class ScriptAction:
 
 def load_script(path: str | Path) -> list[ScriptAction]:
     """JSON Lines of ``{"at": MS, "insert": {"rel": R, "v": [...]}}`` or
-    ``{"at": MS, "advance": MS}``; ``at`` must be non-decreasing."""
+    ``{"at": MS, "advance": MS}``; ``at`` must be non-decreasing and must not
+    fall inside a preceding advance, which moves the clock to ``at + MS``."""
     actions: list[ScriptAction] = []
-    last_at = 0
+    last_at = 0  # where the previous action left the clock
     for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -248,7 +268,10 @@ def load_script(path: str | Path) -> list[ScriptAction]:
             raise ConfigError(f"{path}:{line_number}: action needs an \"at\" time")
         at = entry["at"]
         if type(at) is not int or at < last_at:  # JSON true/false are not times
-            raise ConfigError(f"{path}:{line_number}: \"at\" must be a non-decreasing integer")
+            raise ConfigError(
+                f"{path}:{line_number}: \"at\" must be an integer no earlier than {last_at}, "
+                "where the previous action left the clock"
+            )
         last_at = at
         if "insert" in entry:
             spec = entry["insert"]
@@ -260,6 +283,7 @@ def load_script(path: str | Path) -> list[ScriptAction]:
             if type(delta) is not int or delta < 0:
                 raise ConfigError(f"{path}:{line_number}: advance must be a non-negative integer")
             actions.append(ScriptAction(at=at, advance=delta))
+            last_at = at + delta
         else:
             raise ConfigError(f"{path}:{line_number}: action needs \"insert\" or \"advance\"")
     return actions

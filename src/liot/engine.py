@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Protocol
@@ -244,8 +245,11 @@ class Engine:
         self._relation_maps = {m.name: m for m in program.mappings if m.kind == "relation"}
         self._module_maps = {m.name: m for m in program.mappings if m.kind == "module"}
 
-        self.firing_log: list[Firing] = []
-        self.event_errors: list[str] = []
+        # Full history by default; EngineRuntime, which serves indefinitely,
+        # swaps in bounded deques that keep only the recent entries.
+        self.firing_log: list[Firing] | deque[Firing] = []
+        self.event_errors: list[str] | deque[str] = []
+        self._event_firings: list[Firing] = []  # the running event's, in order
         self.condition_evaluations = 0
         self.persistence: PersistenceLog | None = None
         self.replayed_records = 0
@@ -271,12 +275,15 @@ class Engine:
         # initialization statements are skipped when a previous run was
         # restored: replaying state and re-running the init would double it
         if self.replayed_records == 0 and self._top_level:
+            firings = self._event_firings = []
             cascade = CascadeContext(self.config.cascade_limit)
             try:
                 for step in self._top_level:
                     step({}, cascade)
             except EngineRuntimeError as exc:
                 self._log_event_error(f"top-level statement failed: {exc}")
+            finally:
+                self.firing_log.extend(firings)
 
     def close(self) -> None:
         if self.persistence is not None:
@@ -287,7 +294,7 @@ class Engine:
     def process_event(self, event: Event) -> EventResult:
         if not self.loaded:
             raise RuntimeError("engine not loaded")
-        start = len(self.firing_log)
+        firings = self._event_firings = []
         error: str | None = None
         cascade = CascadeContext(self.config.cascade_limit)
         try:
@@ -304,7 +311,9 @@ class Engine:
         except EngineRuntimeError as exc:
             error = f"{type(exc).__name__}: {exc}"
             self._log_event_error(f"event {event!r} aborted: {error}")
-        return EventResult(firings=self.firing_log[start:], error=error)
+        finally:
+            self.firing_log.extend(firings)
+        return EventResult(firings=firings, error=error)
 
     def _log_event_error(self, message: str) -> None:
         self.event_errors.append(message)
@@ -396,7 +405,7 @@ class Engine:
             self.outbound.submit_async(webhook, params)
         trigger = self._trigger_bodies.get(relation)
         if trigger is not None:
-            self.firing_log.append(Firing(record.seq, "trigger", relation, record.t))
+            self._event_firings.append(Firing(record.seq, "trigger", relation, record.t))
             self._run_block(trigger, {}, cascade)
         if self.rule_selection == "indexed":
             for rs in self.dependency_index.get(relation, []):
@@ -426,7 +435,7 @@ class Engine:
         return record
 
     def _fire_rule(self, rs: RuleState, seq: int, t: int, cascade: CascadeContext) -> None:
-        self.firing_log.append(Firing(seq, "rule", rs.decl.name, t))
+        self._event_firings.append(Firing(seq, "rule", rs.decl.name, t))
         self._run_block(rs.body, {}, cascade)
 
     def _check_rule(self, name: str, scope: Scope, cascade: CascadeContext) -> None:
@@ -436,7 +445,7 @@ class Engine:
         outcome = eval_condition(rs.condition, self.store, {})
         if outcome is True:
             seq = self.store.next_seq - 1  # latest record overall, 0 if none
-            self.firing_log.append(Firing(seq, "rule", name, self.clock.now_ms()))
+            self._event_firings.append(Firing(seq, "rule", name, self.clock.now_ms()))
             cascade.enter("check")
             try:
                 self._run_block(rs.body, {}, cascade)

@@ -12,6 +12,7 @@ import logging
 import queue
 import threading
 import time
+from collections import deque
 
 from .clock import WallClock
 from .engine import EndpointCall, Engine, Event, ExternalInsert, Shutdown, TimerTick
@@ -22,6 +23,10 @@ logger = logging.getLogger("liot.runtime")
 
 TIMER_POLL_SECONDS = 0.02
 
+# Firings and event errors a server keeps in memory; older ones are dropped
+# so that memory stays bounded over a long run.
+RECENT_LOG_LIMIT = 1024
+
 
 class QueueFullError(LiotError):
     pass
@@ -30,6 +35,8 @@ class QueueFullError(LiotError):
 class EngineRuntime:
     def __init__(self, engine: Engine):
         self.engine = engine
+        engine.firing_log = deque(engine.firing_log, maxlen=RECENT_LOG_LIMIT)
+        engine.event_errors = deque(engine.event_errors, maxlen=RECENT_LOG_LIMIT)
         self.events: queue.Queue[Event] = queue.Queue(maxsize=engine.config.queue_size)
         self._arrival = 0
         self._arrival_lock = threading.Lock()

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -49,6 +51,10 @@ class RelationWindow:
         return len(self.records)
 
 
+def _arity_error(relation: str, expected: int, got: int) -> ArityError:
+    return ArityError(f"relation {relation} takes {expected} values, got {got}")
+
+
 class Store:
     """All relation windows of one run.
 
@@ -85,10 +91,7 @@ class Store:
         window = self.window(relation)
         normalized = tuple(map(ensure_value, values))
         if len(normalized) != len(window.decl.fields):
-            raise ArityError(
-                f"relation {relation} takes {len(window.decl.fields)} values, "
-                f"got {len(normalized)}"
-            )
+            raise _arity_error(relation, len(window.decl.fields), len(normalized))
         records = window.records
         with self.lock:
             next_seq = self.next_seq
@@ -130,8 +133,9 @@ class Store:
             raise ValueError(f"limit must be positive, got {limit}")
         window = self.window(relation)
         with self.lock:
-            newest_first = list(reversed(window.records))
-        return newest_first[:limit]
+            newest_first = window.records[-limit:]
+        newest_first.reverse()
+        return newest_first
 
     def size(self, relation: str) -> int:
         with self.lock:
@@ -179,8 +183,14 @@ def replay_log(store: Store, path: str | Path) -> int:
     """Rebuild windows from a persistence log; returns the record count.
 
     Replay only restores state: it never fires triggers, rules or webhooks.
-    Any malformed line aborts the replay with its line number.
+    Any malformed line aborts the replay with its line number and leaves the
+    store as it was: each window's tail is collected apart, at most its
+    capacity, and installed once at the end.
     """
+    decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
+    windows = store.windows
+    tails = {name: deque(w.records, maxlen=w.capacity) for name, w in windows.items()}
+    next_seq = store.next_seq
     count = 0
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -188,10 +198,15 @@ def replay_log(store: Store, path: str | Path) -> int:
             if not line:
                 continue
             try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReplayError(f"log line {line_number}: invalid JSON: {exc}", line_number)
-            if not isinstance(entry, dict):
+                entry, end = decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # not one JSON value alone: json.loads names the fault
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ReplayError(f"log line {line_number}: invalid JSON: {exc}", line_number)
+            if type(entry) is not dict:
                 raise ReplayError(f"log line {line_number}: not an object", line_number)
             try:
                 relation = entry["rel"]
@@ -200,16 +215,32 @@ def replay_log(store: Store, path: str | Path) -> int:
                 raw_values = entry["v"]
             except KeyError as exc:
                 raise ReplayError(f"log line {line_number}: missing key {exc}", line_number)
-            if not isinstance(relation, str) or not isinstance(raw_values, list):
+            # JSON yields exact types: bool is never taken for int here
+            if type(relation) is not str or type(raw_values) is not list:
                 raise ReplayError(f"log line {line_number}: malformed entry", line_number)
-            if not isinstance(t, int) or isinstance(t, bool):
+            if type(t) is not int:
                 raise ReplayError(f"log line {line_number}: t must be an integer", line_number)
-            if not isinstance(seq, int) or isinstance(seq, bool):
+            if type(seq) is not int:
                 raise ReplayError(f"log line {line_number}: seq must be an integer", line_number)
             try:
-                values = [value_from_json(v) for v in raw_values]
-                store.insert(relation, values, t=t, seq=seq)
+                values = []
+                for v in raw_values:
+                    kind = type(v)
+                    if kind is int:
+                        v = float(v)
+                    elif kind is not str and not (kind is float and isfinite(v)):
+                        v = value_from_json(v)  # boolean, null, or the error
+                    values.append(v)
+                window = store.window(relation)
+                if len(values) != len(window.decl.fields):
+                    raise _arity_error(relation, len(window.decl.fields), len(values))
             except LiotError as exc:
                 raise ReplayError(f"log line {line_number}: {exc}", line_number) from None
+            tails[relation].append(Record(t, seq, tuple(values)))
+            next_seq = (seq if seq > next_seq else next_seq) + 1  # as Store.insert
             count += 1
+    with store.lock:
+        for name, window in windows.items():
+            window.records[:] = tails[name]
+        store.next_seq = next_seq
     return count

@@ -10,6 +10,7 @@ import urllib.request
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from liot import gateway
 from liot.config import RunConfig
 from liot.engine import Engine
 from liot.gateway import GatewayServer, build_outbound
@@ -85,6 +86,41 @@ def stub_server():
         yield stub
     finally:
         stub.close()
+
+
+class WireLog:
+    """What the gateway's handler did on the wire: one entry in ``peers``
+    per accepted connection, one in ``writes`` per write to a client."""
+
+    def __init__(self):
+        self.peers: list[tuple[str, int]] = []
+        self.writes: list[bytes] = []
+
+
+def record_wire(monkeypatch) -> WireLog:
+    """Patch the handler class servers started after this call use, so that
+    their connections and socket writes are recorded."""
+    wire = WireLog()
+
+    class Writer:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def write(self, data):
+            wire.writes.append(bytes(data))
+            return self._inner.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    class RecordingHandler(gateway._Handler):
+        def setup(self):
+            super().setup()
+            wire.peers.append(self.client_address)
+            self.wfile = Writer(self.wfile)
+
+    monkeypatch.setattr(gateway, "_Handler", RecordingHandler)
+    return wire
 
 
 @contextmanager

@@ -2,7 +2,10 @@ import json
 import signal
 import subprocess
 import sys
+import threading
 import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -10,7 +13,7 @@ from liot.cli import SimProfile, generate_requests, load_script, main, parse_gen
 from liot.config import RunConfig, apply_config_pairs, read_config_file
 from liot.errors import ConfigError
 
-from .helpers import get_json, http_get, running_stack
+from .helpers import get_json, http_get, record_wire, running_stack
 
 COMPOSITE = """
 RELATION R (MAC, RSSI)
@@ -147,7 +150,8 @@ def test_seeded_generation_is_reproducible():
     assert len(set(values)) > 400  # actually random, not constant
 
 
-def test_simulate_against_running_engine(capsys):
+def test_simulate_against_running_engine(capsys, monkeypatch):
+    wire = record_wire(monkeypatch)
     with running_stack("RELATION R (MAC, RSSI)") as (runtime, base):
         code = main(
             [
@@ -164,6 +168,70 @@ def test_simulate_against_running_engine(capsys):
         assert code == 0
         assert capsys.readouterr().out.strip() == "sent=20 ok=20 err=0"
         assert runtime.engine.store.size("R") == 20
+    assert len(wire.peers) == 1  # one keep-alive connection for every request
+
+
+class SinkHandler(BaseHTTPRequestHandler):
+    """Keep-alive handler that answers 202 and records each request's peer."""
+
+    protocol_version = "HTTP/1.1"
+    seen: list = []
+
+    def log_message(self, *args):
+        pass
+
+    def do_GET(self):
+        self.seen.append(self.client_address)
+        self.send_response_only(202)
+        self.send_header("Content-Length", "2")
+        self.end_headers()
+        self.wfile.write(b"{}")
+
+
+@contextmanager
+def serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def test_simulate_never_resends_a_dropped_request(capsys):
+    class Handler(SinkHandler):
+        seen = []
+
+        def do_GET(self):
+            if len(self.seen) == 1:  # close without answering: applied or not, unknown
+                self.seen.append(self.client_address)
+                self.close_connection = True
+                return
+            super().do_GET()
+
+    with serving(Handler) as target:
+        code = main(["simulate", "--target", target, "--relation", "R",
+                     "--count", "4", "--gen", "X=constant:1"])
+    assert code == 1
+    assert capsys.readouterr().out.strip() == "sent=4 ok=3 err=1"
+    assert len(Handler.seen) == 4  # the dropped request was not sent again
+    assert len(set(Handler.seen)) == 2  # a new connection after the server closed the first
+
+
+def test_simulate_reconnects_after_the_server_closes_an_idle_connection(capsys):
+    class Handler(SinkHandler):
+        seen = []
+        timeout = 0.1  # the server drops a connection idle this long
+
+    with serving(Handler) as target:
+        code = main(["simulate", "--target", target, "--relation", "R", "--count", "3",
+                     "--period", "400", "--gen", "X=constant:1"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "sent=3 ok=3 err=0"
+    assert len(set(Handler.seen)) == 3
 
 
 def test_simulate_zero_count(capsys):
@@ -269,6 +337,28 @@ def test_script_rejects_bad_actions(tmp_path):
     assert main(["script", program, decreasing]) == 1
 
 
+def test_script_rejects_at_inside_a_preceding_advance(tmp_path, capsys):
+    # the advance left the clock at 1000; going back to 500 is refused with
+    # the line number instead of failing inside the engine
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    script = write(
+        tmp_path, "s.jsonl",
+        script_lines({"at": 0, "advance": 1000},
+                     {"at": 500, "insert": {"rel": "R", "v": ["aa", -70]}}),
+    )
+    assert main(["script", program, script]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{script}:2:" in captured.err and "1000" in captured.err
+    assert "Traceback" not in captured.err
+    at_end = write(
+        tmp_path, "end.jsonl",
+        script_lines({"at": 0, "advance": 1000},
+                     {"at": 1000, "insert": {"rel": "R", "v": ["aa", -70]}}),
+    )
+    assert main(["script", program, at_end]) == 0
+
+
 def test_script_rejects_boolean_times(tmp_path):
     # a boolean would reach the virtual clock and the firing log's "t"
     program = write(tmp_path, "t.liot", COMPOSITE)
@@ -294,7 +384,8 @@ def test_script_with_persistence_log(tmp_path, capsys):
     log = str(tmp_path / "run.jsonl")
     assert main(["script", program, script, "--log", log]) == 0
     capsys.readouterr()
-    entries = [json.loads(l) for l in open(log)]
+    with open(log, encoding="utf-8") as handle:
+        entries = [json.loads(line) for line in handle]
     assert len(entries) == 4
     assert entries[0] == {"rel": "TICKS", "t": 500, "seq": 1, "v": [1]}
 

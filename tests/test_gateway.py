@@ -1,9 +1,13 @@
+import http.client
 import json
+import sys
+import threading
 
 from liot.config import RunConfig
+from liot.gateway import AsyncDelivery, OutboundClient
 from liot.values import parse_query_value
 
-from .helpers import get_json, http_get, running_stack, stub_server
+from .helpers import get_json, http_get, record_wire, running_stack, stub_server
 
 PROGRAM = """
 RELATION R (MAC, RSSI)
@@ -179,6 +183,46 @@ def test_queue_full_returns_503():
         engine.close()
 
 
+def test_each_reply_is_one_write(monkeypatch):
+    # headers and body in separate writes stall a reused connection on
+    # Nagle's algorithm and the client's delayed ACK
+    wire = record_wire(monkeypatch)
+    with running_stack(PROGRAM) as (runtime, base):
+        connection = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
+        paths = ["/healthz", "/rel/R/insert?MAC=aa&RSSI=-87", "/rel/R/insert?MAC=aa",
+                 "/rel/R/read?limit=3", "/endpoint/NEW_RECORD?M=m&RS=1", "/nope"]
+        try:
+            for count, path in enumerate(paths, start=1):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                assert len(wire.writes) == count, path
+                assert wire.writes[-1].startswith(b"HTTP/1.1 %d " % response.status)
+                assert wire.writes[-1].endswith(b"\r\n\r\n" + body)
+        finally:
+            connection.close()
+    assert len(wire.peers) == 1
+
+
+def test_fifty_inserts_on_one_connection(monkeypatch):
+    wire = record_wire(monkeypatch)
+    with running_stack(PROGRAM) as (runtime, base):
+        connection = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
+        try:
+            statuses = []
+            for i in range(50):
+                connection.request("GET", f"/rel/R/insert?MAC=m{i}&RSSI=-{i}")
+                response = connection.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            connection.close()
+        assert statuses == [202] * 50
+        runtime.wait_idle()
+        assert runtime.engine.store.size("R") == 50
+    assert len(wire.peers) == 1
+
+
 def test_oversized_numeric_parameter_rejected():
     with running_stack(PROGRAM) as (runtime, base):
         status, _ = http_get(f"{base}/rel/R/insert?MAC=aa&RSSI={'9' * 400}")
@@ -335,3 +379,48 @@ ENDPOINT E ()
                 break
             time.sleep(0.01)
         assert records[0]["N"] == 5
+
+
+def test_two_delivery_workers_deliver_every_row_and_close_drains():
+    rows = 40
+    with stub_server() as stub:
+        delivery = AsyncDelivery(OutboundClient(), timeout_ms=5000)
+        assert sum(w.is_alive() for w in delivery._workers) == AsyncDelivery.WORKERS == 2
+        for i in range(rows):
+            delivery.submit(f"{stub.url}/hook", [("N", str(i))])
+        delivery.close()
+        # close() returns only once every queued row has been delivered
+        assert stub.request_count("/hook") == rows
+        assert sorted(int(params[0][1]) for _, params in stub.requests) == list(range(rows))
+        assert (delivery.delivered, delivery.failed) == (rows, 0)
+        assert delivery._queue.unfinished_tasks == 0
+
+
+def test_delivery_counters_lose_no_update_between_workers():
+    class CountingClient:
+        def __init__(self):
+            self.calls = 0
+            self.lock = threading.Lock()
+
+        def get(self, url, params, timeout_ms):
+            with self.lock:
+                self.calls += 1
+            return (200 if params[0][1] != "fail" else 500), b""
+
+    rows = 3000
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        client = CountingClient()
+        delivery = AsyncDelivery(client, timeout_ms=1000, capacity=rows)
+        for i in range(rows):
+            delivery.submit("http://unused/", [("N", "fail" if i % 3 == 0 else str(i))])
+        closer = threading.Thread(target=delivery.close)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert client.calls == rows
+    assert delivery.failed == rows // 3
+    assert delivery.delivered == rows - rows // 3

@@ -5,7 +5,7 @@ import pytest
 from liot.config import EngineConfig
 from liot.engine import Engine
 from liot.parser import parse_program
-from liot.runtime import EngineRuntime, QueueFullError
+from liot.runtime import RECENT_LOG_LIMIT, EngineRuntime, QueueFullError
 
 
 def test_wall_clock_timer_enqueues_ticks():
@@ -49,4 +49,55 @@ def test_arrival_seq_is_strictly_increasing():
     runtime = EngineRuntime(engine)
     arrivals = [runtime.submit_insert("R", (1.0,)) for _ in range(5)]
     assert arrivals == [1, 2, 3, 4, 5]
+    engine.close()
+
+
+BOUNDED_PROGRAM = """
+RELATION R (X)
+RELATION OUT (N)
+TRIGGER (R)
+{
+}
+TRIGGER (OUT)
+{
+}
+ENDPOINT THREE ()
+{
+    OUT(1)
+    OUT(2)
+    OUT(3)
+}
+"""
+
+
+def test_serve_mode_keeps_only_recent_firings_and_errors():
+    engine = Engine(parse_program(BOUNDED_PROGRAM), config=EngineConfig(queue_size=4096))
+    runtime = EngineRuntime(engine)
+    runtime.start()
+    try:
+        for i in range(2 * RECENT_LOG_LIMIT):
+            runtime.submit_insert("R", (float(i),))
+            runtime.submit_endpoint("NOPE", ())  # aborts: unknown endpoint
+        runtime.submit_endpoint("THREE", ())
+        runtime.wait_idle()
+        assert len(engine.firing_log) == RECENT_LOG_LIMIT
+        assert len(engine.event_errors) == RECENT_LOG_LIMIT
+        # the newest are kept: criterion 5's three trigger runs are the last firings
+        assert [(f.kind, f.name) for f in list(engine.firing_log)[-3:]] == [("trigger", "OUT")] * 3
+        assert engine.firing_log[-4].name == "R"
+        assert engine.store.next_seq == 2 * RECENT_LOG_LIMIT + 3 + 1  # every event applied
+    finally:
+        runtime.shutdown()
+
+
+def test_direct_engine_keeps_the_full_firing_log():
+    from liot.clock import VirtualClock
+    from liot.engine import ExternalInsert
+
+    engine = Engine(parse_program(BOUNDED_PROGRAM), config=EngineConfig(), clock=VirtualClock(0))
+    engine.load()
+    results = [engine.process_event(ExternalInsert("R", (float(i),)))
+               for i in range(2 * RECENT_LOG_LIMIT)]
+    assert len(engine.firing_log) == 2 * RECENT_LOG_LIMIT
+    assert [r.firings for r in results] == [[f] for f in engine.firing_log]
     engine.close()

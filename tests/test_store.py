@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from liot.errors import (
     UnknownRelationError,
     ScalarError,
 )
-from liot.store import PersistenceLog, Record, Store, replay_log
+from liot.store import PersistenceLog, Record, Store, log_line, replay_log
+from liot.values import value_from_json
 
 R = RelationDecl("R", ("MAC", "RSSI"))
 Q = RelationDecl("Q", ("N",))
@@ -233,3 +235,120 @@ def test_log_line_shape_is_exact(tmp_path):
     log.append("R", store.insert("R", ["38:E7:D8:D3:18:68", -87], t=1000))
     log.close()
     assert path.read_text() == '{"rel":"R","t":1000,"seq":1,"v":["38:E7:D8:D3:18:68",-87]}\n'
+
+
+# -- replay against inserting each logged record in turn ------------------------
+
+
+def random_value(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return float(rng.randint(-10**6, 10**6))
+    if kind == 1:
+        return rng.uniform(-1e9, 1e9)
+    if kind == 2:
+        return rng.choice(["", "38:E7:D8:D3:18:68", 'quo"te\\', "été\u2028", "\x00\n"])
+    if kind == 3:
+        return rng.random() < 0.5
+    if kind == 4:
+        return None
+    return float(2**53 + rng.randint(0, 5))
+
+
+def write_random_log(rng, path, records, increasing=True):
+    lines = []
+    seq = 10  # past the records a test inserts before replaying
+    for _ in range(records):
+        decl = rng.choice([R, Q])
+        seq = seq + rng.randint(1, 3) if increasing else rng.randint(-2, 40)
+        values = tuple(random_value(rng) for _ in decl.fields)
+        line = log_line(decl.name, Record(rng.randint(-5, 10**12), seq, values))
+        lines.append(rng.choice(["", " ", "\t"]) + line)
+        if rng.random() < 0.05:
+            lines.append("   ")
+    path.write_text("\n".join(lines) + rng.choice(["", "\n"]), encoding="utf-8")
+
+
+def insert_each_logged_record(store, path):
+    """What replay means: every logged record inserted in log order."""
+    for line in path.read_text(encoding="utf-8").split("\n"):  # not at U+2028
+        if line.strip():
+            entry = json.loads(line)
+            values = [value_from_json(v) for v in entry["v"]]
+            store.insert(entry["rel"], values, t=entry["t"], seq=entry["seq"])
+
+
+@pytest.mark.parametrize("increasing", [True, False], ids=["increasing seqs", "seqs out of order"])
+def test_replay_equals_inserting_each_record_on_random_logs(tmp_path, increasing):
+    rng = random.Random(7 if increasing else 8)
+    path = tmp_path / "run.jsonl"
+    for trial in range(40):
+        records = rng.randint(0, 300)
+        write_random_log(rng, path, records, increasing)
+        window = rng.choice([1, 3, 50, 1024])
+        replayed, inserted = make_store(window, {"Q": 2}), make_store(window, {"Q": 2})
+        if trial % 5 == 0:  # replay onto a store that already holds records
+            for store in (replayed, inserted):
+                store.insert("Q", [1], t=0)
+        insert_each_logged_record(inserted, path)
+        assert replay_log(replayed, path) == records, trial
+        assert replayed.snapshot() == inserted.snapshot(), trial
+        assert replayed.next_seq == inserted.next_seq, trial
+
+
+MALFORMED = {
+    "invalid json": ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "split object, first half": (
+        '{"x":[1', "invalid JSON: Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    "not an object": ("[1, 2]", "not an object"),
+    "missing key": ('{"rel":"Q","t":1,"seq":5}', "missing key 'v'"),
+    "relation not text": ('{"rel":5,"t":1,"seq":5,"v":[1]}', "malformed entry"),
+    "values not a list": ('{"rel":"Q","t":1,"seq":5,"v":1}', "malformed entry"),
+    "float t": ('{"rel":"Q","t":1.5,"seq":5,"v":[1]}', "t must be an integer"),
+    "boolean t": ('{"rel":"Q","t":true,"seq":5,"v":[1]}', "t must be an integer"),
+    "text seq": ('{"rel":"Q","t":1,"seq":"5","v":[1]}', "seq must be an integer"),
+    "boolean seq": ('{"rel":"Q","t":1,"seq":false,"v":[1]}', "seq must be an integer"),
+    "unknown relation": ('{"rel":"NOPE","t":1,"seq":5,"v":[1]}', "unknown relation NOPE"),
+    "arity": ('{"rel":"Q","t":1,"seq":5,"v":[1,2]}', "relation Q takes 1 values, got 2"),
+    "infinite number": ('{"rel":"Q","t":1,"seq":5,"v":[1e400]}', "non-finite number rejected: inf"),
+    "NaN": ('{"rel":"Q","t":1,"seq":5,"v":[NaN]}', "non-finite number rejected: nan"),
+    "nested value": ('{"rel":"Q","t":1,"seq":5,"v":[{"x":1}]}', "not a scalar JSON value: {'x': 1}"),
+    "value checked before relation": (
+        '{"rel":"NOPE","t":1,"seq":5,"v":[[1]]}', "not a scalar JSON value: [1]"),
+    "trailing text": (
+        '{"rel":"Q","t":1,"seq":5,"v":[1]} x', "invalid JSON: Extra data: line 1 column 35 (char 34)"),
+    "two objects": (
+        '{"rel":"Q","t":1,"seq":5,"v":[1]}{"rel":"Q","t":1,"seq":6,"v":[1]}',
+        "invalid JSON: Extra data: line 1 column 34 (char 33)"),
+    "byte order mark": (
+        '\ufeff{"rel":"Q","t":1,"seq":5,"v":[1]}',
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_replay_names_the_malformed_line_and_leaves_the_store(tmp_path, case):
+    line, message = MALFORMED[case]
+    path = tmp_path / "bad.jsonl"
+    good = '{"rel":"Q","t":1,"seq":1,"v":[5]}'
+    path.write_text(f"{good}\n\n{line}\n{good}\n", encoding="utf-8")
+    store = make_store()
+    store.insert("R", ["aa", 1], t=0)
+    before = store.snapshot()
+    with pytest.raises(ReplayError) as err:
+        replay_log(store, path)
+    assert err.value.line_number == 3
+    assert str(err.value) == f"log line 3: {message}"
+    assert store.snapshot() == before and store.next_seq == 2
+
+
+def test_replay_does_not_join_a_split_line(tmp_path):
+    # as one JSON array the two lines would parse into two valid objects
+    path = tmp_path / "split.jsonl"
+    path.write_text('{"x":[1\n2]},{}\n', encoding="utf-8")
+    store = make_store()
+    with pytest.raises(ReplayError) as err:
+        replay_log(store, path)
+    assert err.value.line_number == 1
+    assert "invalid JSON" in str(err.value)
+    assert store.snapshot() == make_store().snapshot() and store.next_seq == 1
