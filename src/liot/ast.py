@@ -200,27 +200,9 @@ class Program:
     mappings: tuple[MapDecl, ...] = ()
     top_level_statements: tuple[Statement, ...] = ()
 
-    def relation(self, name: str) -> RelationDecl | None:
-        for decl in self.relations:
-            if decl.name == name:
-                return decl
-        return None
-
-    def trigger_for(self, relation: str) -> TriggerDecl | None:
-        for decl in self.triggers:
-            if decl.relation == relation:
-                return decl
-        return None
-
     def module(self, name: str) -> ModuleDecl | None:
         for decl in self.modules:
             if decl.name == name:
-                return decl
-        return None
-
-    def mapping_for(self, kind: str, name: str) -> MapDecl | None:
-        for decl in self.mappings:
-            if decl.kind == kind and decl.name == name:
                 return decl
         return None
 

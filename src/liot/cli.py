@@ -97,7 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     server.start()
     print(f"listening on {server.base_url}", file=sys.stderr)
     try:
-        while True:
+        while runtime.failure is None:
             time.sleep(0.2)
     except KeyboardInterrupt:
         pass
@@ -105,6 +105,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         server.stop()
         runtime.shutdown()
         outbound.delivery.close()
+    if runtime.failure is not None:
+        print(f"error: event loop stopped: {runtime.failure}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -262,7 +265,7 @@ def load_script(path: str | Path) -> list[ScriptAction]:
             continue
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"{path}:{line_number}: invalid JSON: {exc}") from None
         if not isinstance(entry, dict) or "at" not in entry:
             raise ConfigError(f"{path}:{line_number}: action needs an \"at\" time")

@@ -69,12 +69,7 @@ class TimerTick:
     arrival_seq: int = 0
 
 
-@dataclass(frozen=True)
-class Shutdown:
-    arrival_seq: int = 0
-
-
-Event = ExternalInsert | EndpointCall | TimerTick | Shutdown
+Event = ExternalInsert | EndpointCall | TimerTick
 
 
 # dump_json of {"seq", "kind", "name", "t"}: seq and t are integers, kind is
@@ -304,8 +299,6 @@ class Engine:
                 self._run_endpoint(event, cascade)
             elif isinstance(event, TimerTick):
                 self._run_timer(event.name, cascade)
-            elif isinstance(event, Shutdown):
-                pass
             else:
                 raise AssertionError(f"unhandled event {event!r}")
         except EngineRuntimeError as exc:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import logging
 import queue
+import re
+import socket
+import ssl
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .runtime import EngineRuntime, QueueFullError
+from .runtime import EngineRuntime, LoopStoppedError, QueueFullError
 from .store import Record
 from .values import Value, dump_json, parse_query_value, value_to_json
 from .errors import ScalarError
@@ -28,29 +30,84 @@ logger = logging.getLogger("liot.gateway")
 # -- outbound ---------------------------------------------------------------------
 
 
+# Anything but printable ASCII without the space: whitespace, control
+# characters (CR/LF among them) and non-ASCII never reach the wire.
+_UNSAFE_URL = re.compile(r"[^\x21-\x7e]")
+_URL = re.compile(r"(https?)://([^/?#]*)([^#]*)", re.IGNORECASE)
+
+HEAD_LIMIT = 64 * 1024  # status line plus headers of a reply
+
+
 class OutboundClient:
-    """Thin urllib wrapper; timeouts surface as TimeoutError, other transport
-    failures as ConnectionError, HTTP error statuses as plain results."""
+    """One HTTP/1.0 GET per call on a new connection (RFC 1945).
+
+    The server closes the connection after its reply, so reading until the
+    close is the whole framing. Redirects are not followed (a 3xx is the
+    result), proxy settings are not consulted and the request carries only
+    ``Host``. Timeouts surface as TimeoutError, every other transport
+    failure, a URL that cannot be sent as it is and a reply without a status
+    line as ConnectionError, HTTP error statuses as plain results. The body
+    returned is at most ``body_limit + 1`` bytes, so callers can tell an
+    oversized one.
+    """
 
     def __init__(self, body_limit: int = 1024 * 1024):
         self.body_limit = body_limit
 
+    @cached_property
+    def _tls(self) -> ssl.SSLContext:
+        return ssl.create_default_context()
+
     def get(self, url: str, params: list[tuple[str, str]], timeout_ms: int) -> tuple[int, bytes]:
         full = url + ("?" + urllib.parse.urlencode(params) if params else "")
+        match = None if _UNSAFE_URL.search(full) else _URL.match(full)
+        if match is None:
+            raise ConnectionError(f"cannot send a GET to {full!r}")
+        tls = match[1].lower() == "https"
+        host_port = match[2].rpartition("@")[2]
+        target = match[3] if match[3].startswith("/") else "/" + match[3]
         try:
-            with urllib.request.urlopen(full, timeout=timeout_ms / 1000.0) as response:
-                return response.status, response.read(self.body_limit + 1)
-        except urllib.error.HTTPError as exc:
-            body = exc.read(self.body_limit + 1) if exc.fp else b""
-            return exc.code, body
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise TimeoutError(str(exc.reason)) from exc
-            raise ConnectionError(str(exc.reason)) from exc
-        except TimeoutError:
+            split = urllib.parse.urlsplit("//" + host_port)
+            host, port = split.hostname, split.port or (443 if tls else 80)
+        except ValueError as exc:
+            raise ConnectionError(f"cannot send a GET to {full!r}: {exc}") from None
+        if not host:
+            raise ConnectionError(f"cannot send a GET to {full!r}: no host")
+        request = b"GET %s HTTP/1.0\r\nHost: %s\r\n\r\n" % (target.encode(), host_port.encode())
+        limit = HEAD_LIMIT + self.body_limit + 1
+        try:
+            sock = socket.create_connection((host, port), timeout_ms / 1000.0)
+            try:
+                if tls:
+                    sock = self._tls.wrap_socket(sock, server_hostname=host)
+                sock.sendall(request)
+                reply = bytearray()
+                while len(reply) < limit:
+                    chunk = sock.recv(min(limit - len(reply), 65536))
+                    if not chunk:
+                        break
+                    reply += chunk
+            finally:
+                sock.close()
+        except (TimeoutError, ConnectionError):
             raise
         except OSError as exc:
             raise ConnectionError(str(exc)) from exc
+        return _parse_reply(reply, self.body_limit)
+
+
+def _parse_reply(reply: bytearray, body_limit: int) -> tuple[int, bytes]:
+    """(status, body) of a whole HTTP/1.x reply; the body is cut after
+    ``body_limit + 1`` bytes."""
+    head_end = reply.find(b"\r\n\r\n", 0, HEAD_LIMIT)
+    status_line = reply[:reply.find(b"\r\n")] if head_end >= 0 else b""
+    version, _, rest = status_line.partition(b" ")
+    code = rest[:3]
+    if (not version.startswith(b"HTTP/1.") or len(code) != 3 or not code.isdigit()
+            or rest[3:4] not in (b"", b" ")):
+        raise ConnectionError(f"malformed HTTP reply: {bytes(reply[:80])!r}")
+    start = head_end + 4
+    return int(code), bytes(reply[start:start + body_limit + 1])
 
 
 class AsyncDelivery:
@@ -170,7 +227,11 @@ _REPLY_HEAD = "%s %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    runtime: EngineRuntime  # set on the subclass by serve()
+    # set on the subclass by GatewayServer: the runtime, and the declared
+    # fields of each relation and parameters of each endpoint
+    runtime: EngineRuntime
+    relations: dict[str, tuple[str, ...]]
+    endpoints: dict[str, tuple[str, ...]]
 
     # -- plumbing -------------------------------------------------------
 
@@ -222,7 +283,11 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in path.split("/") if p]
         try:
             if parts == ["healthz"]:
-                self._reply(200, {"ok": True})
+                failure = self.runtime.failure
+                if failure is None:
+                    self._reply(200, {"ok": True})
+                else:
+                    self._reply(503, {"ok": False, "error": f"event loop stopped: {failure}"})
             elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "insert":
                 self._handle_ingest(parts[1])
             elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "read":
@@ -235,25 +300,23 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def _handle_ingest(self, relation: str) -> None:
-        engine = self.runtime.engine
-        decl = engine.program.relation(relation)
-        if decl is None:
+        fields = self.relations.get(relation)
+        if fields is None:
             self._fail(404, f"unknown relation {relation}")
             return
-        values = self._collect_exact(decl.fields)
+        values = self._collect_exact(fields)
         if values is None:
             return
         try:
             arrival = self.runtime.submit_insert(relation, tuple(values))
-        except QueueFullError:
-            self._fail(503, "event queue is full")
+        except (QueueFullError, LoopStoppedError) as exc:
+            self._fail(503, str(exc))
             return
         self._reply(202, {"queued": True, "seq": arrival})
 
     def _handle_read(self, relation: str) -> None:
-        engine = self.runtime.engine
-        decl = engine.program.relation(relation)
-        if decl is None:
+        fields = self.relations.get(relation)
+        if fields is None:
             self._fail(404, f"unknown relation {relation}")
             return
         pairs = dict(self._query_pairs())
@@ -266,22 +329,21 @@ class _Handler(BaseHTTPRequestHandler):
         if limit < 1:
             self._fail(400, f"limit must be positive, got {limit}")
             return
-        records = engine.store.read(relation, limit)
-        self._reply(200, [render_record(r, decl.fields) for r in records])
+        records = self.runtime.engine.store.read(relation, limit)
+        self._reply(200, [render_record(r, fields) for r in records])
 
     def _handle_endpoint(self, name: str) -> None:
-        engine = self.runtime.engine
-        decl = next((e for e in engine.program.endpoints if e.name == name), None)
-        if decl is None:
+        params = self.endpoints.get(name)
+        if params is None:
             self._fail(404, f"unknown endpoint {name}")
             return
-        args = self._collect_exact(decl.params)
+        args = self._collect_exact(params)
         if args is None:
             return
         try:
             arrival = self.runtime.submit_endpoint(name, tuple(args))
-        except QueueFullError:
-            self._fail(503, "event queue is full")
+        except (QueueFullError, LoopStoppedError) as exc:
+            self._fail(503, str(exc))
             return
         self._reply(202, {"queued": True, "seq": arrival})
 
@@ -290,7 +352,12 @@ class GatewayServer:
     """Threaded HTTP server bound to the runtime; port 0 picks a free port."""
 
     def __init__(self, runtime: EngineRuntime, host: str = "127.0.0.1", port: int = 8080):
-        handler = type("BoundHandler", (_Handler,), {"runtime": runtime})
+        program = runtime.engine.program
+        handler = type("BoundHandler", (_Handler,), {
+            "runtime": runtime,
+            "relations": {r.name: r.fields for r in program.relations},
+            "endpoints": {e.name: e.params for e in program.endpoints},
+        })
         self.server = ThreadingHTTPServer((host, port), handler)
         self.server.daemon_threads = True
         self._thread: threading.Thread | None = None
@@ -311,8 +378,8 @@ class GatewayServer:
         self._thread.start()
 
     def stop(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for serve_forever to end
+            self.server.shutdown()
             self._thread.join()
             self._thread = None
+        self.server.server_close()

@@ -4,6 +4,11 @@ The engine itself is synchronous; this wrapper gives it the serialized event
 loop: HTTP handlers and the timer thread only enqueue onto one bounded FIFO,
 a single loop thread processes events in arrival order, and shutdown drains
 whatever is queued before the persistence log closes.
+
+The loop is fail-stop: an exception that is not an event's own error (say an
+OSError from the persistence log) leaves the engine's state in doubt, so the
+loop records the reason in ``failure``, applies nothing more, and every later
+submit raises LoopStoppedError.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import queue
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 
 from .clock import WallClock
-from .engine import EndpointCall, Engine, Event, ExternalInsert, Shutdown, TimerTick
+from .engine import EndpointCall, Engine, Event, ExternalInsert, TimerTick
 from .errors import LiotError
 from .values import Value
 
@@ -32,15 +38,27 @@ class QueueFullError(LiotError):
     pass
 
 
+class LoopStoppedError(LiotError):
+    """The loop failed and takes no more events."""
+
+
+@dataclass(frozen=True)
+class Shutdown:
+    """Queued last by ``shutdown``: the loop ends when it reaches it."""
+
+    arrival_seq: int = 0
+
+
 class EngineRuntime:
     def __init__(self, engine: Engine):
         self.engine = engine
         engine.firing_log = deque(engine.firing_log, maxlen=RECENT_LOG_LIMIT)
         engine.event_errors = deque(engine.event_errors, maxlen=RECENT_LOG_LIMIT)
-        self.events: queue.Queue[Event] = queue.Queue(maxsize=engine.config.queue_size)
+        self.events: queue.Queue[Event | Shutdown] = queue.Queue(maxsize=engine.config.queue_size)
         self._arrival = 0
         self._arrival_lock = threading.Lock()
         self.processed_arrival_seq = 0
+        self.failure: str | None = None  # why the loop stopped, once it has
         self._loop_thread: threading.Thread | None = None
         self._timer_thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -48,6 +66,8 @@ class EngineRuntime:
     # -- enqueue (any thread) ----------------------------------------------
 
     def _submit(self, make_event) -> int:
+        if self.failure is not None:
+            raise LoopStoppedError(f"event loop stopped: {self.failure}")
         with self._arrival_lock:
             self._arrival += 1
             arrival = self._arrival
@@ -84,7 +104,11 @@ class EngineRuntime:
             try:
                 if isinstance(event, Shutdown):
                     return
-                self.engine.process_event(event)
+                if self.failure is None:  # after a failure, queued events are dropped
+                    self.engine.process_event(event)
+            except Exception as exc:  # process_event handles the event's own errors
+                self.failure = f"{type(exc).__name__}: {exc}"
+                logger.critical("event loop stopped: %s", self.failure, exc_info=True)
             finally:
                 self.processed_arrival_seq = max(self.processed_arrival_seq, event.arrival_seq)
                 self.events.task_done()
@@ -104,6 +128,8 @@ class EngineRuntime:
                     self.submit_timer_tick(name)
                 except QueueFullError:
                     logger.warning("timer tick for %s dropped: queue full", name)
+                except LoopStoppedError:
+                    return
 
     def shutdown(self) -> None:
         """Stop timers, drain the queue, then close the engine."""
@@ -116,7 +142,11 @@ class EngineRuntime:
                 arrival = self._arrival
             self.events.put(Shutdown(arrival_seq=arrival))
             self._loop_thread.join()
-        self.engine.close()
+        try:
+            self.engine.close()
+        except OSError as exc:  # the persistence log could not write out its buffer
+            if self.failure is None:
+                self.failure = f"{type(exc).__name__}: {exc}"
 
     def wait_idle(self, timeout_s: float = 10.0) -> None:
         """Block until every queued event has been processed (tests)."""

@@ -199,12 +199,12 @@ def replay_log(store: Store, path: str | Path) -> int:
                 continue
             try:
                 entry, end = decode(line)
-            except json.JSONDecodeError:
+            except ValueError:  # JSONDecodeError, or an integer past the digit limit
                 end = None
             if end != len(line):  # not one JSON value alone: json.loads names the fault
                 try:
                     entry = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:
                     raise ReplayError(f"log line {line_number}: invalid JSON: {exc}", line_number)
             if type(entry) is not dict:
                 raise ReplayError(f"log line {line_number}: not an object", line_number)
@@ -234,7 +234,7 @@ def replay_log(store: Store, path: str | Path) -> int:
                 window = store.window(relation)
                 if len(values) != len(window.decl.fields):
                     raise _arity_error(relation, len(window.decl.fields), len(values))
-            except LiotError as exc:
+            except (LiotError, OverflowError) as exc:  # OverflowError: float() of a huge integer
                 raise ReplayError(f"log line {line_number}: {exc}", line_number) from None
             tails[relation].append(Record(t, seq, tuple(values)))
             next_seq = (seq if seq > next_seq else next_seq) + 1  # as Store.insert

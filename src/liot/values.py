@@ -36,7 +36,10 @@ def ensure_value(raw: object) -> Value:
     if raw is None or isinstance(raw, (str, bool)):
         return raw
     if isinstance(raw, (int, float)):
-        number = float(raw)
+        try:
+            number = float(raw)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ScalarError(str(exc)) from None
         if not isfinite(number):
             raise ScalarError(f"non-finite number rejected: {raw!r}")
         return number

@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -390,6 +391,18 @@ def test_script_with_persistence_log(tmp_path, capsys):
     assert entries[0] == {"rel": "TICKS", "t": 500, "seq": 1, "v": [1]}
 
 
+def test_script_insert_of_a_huge_integer_aborts_only_that_event(tmp_path, capsys, caplog):
+    program = write(tmp_path, "t.liot", "RELATION R (X)\nTRIGGER (R) { }")
+    script = write(tmp_path, "s.jsonl", script_lines(
+        {"at": 1, "insert": {"rel": "R", "v": [int("9" * 400)]}},
+        {"at": 2, "insert": {"rel": "R", "v": [7]}},
+    ))
+    assert main(["script", program, script]) == 0
+    assert capsys.readouterr().out == '{"seq":1,"kind":"trigger","name":"R","t":2}\n'
+    assert any("ScalarError: int too large to convert to float" in r.getMessage()
+               for r in caplog.records)
+
+
 # -- run (subprocess) ---------------------------------------------------------
 
 
@@ -463,3 +476,39 @@ def test_run_with_busy_port_fails_cleanly(tmp_path):
         assert "cannot listen" in result.stderr
     finally:
         blocker.close()
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"rel":"R","t":1,"seq":1,"v":["aa",%s]}' % ("9" * 400), "int too large to convert to float"),
+    ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+])
+def test_run_refuses_a_malformed_log_and_exits(tmp_path, line, message):
+    # the listening socket is closed without waiting for a server loop
+    # that never started
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    log = tmp_path / "run.jsonl"
+    log.write_text(line + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "liot", "run", program, "--port", "0", "--log", str(log)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"error: log line 1: {message}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_run_exits_1_with_the_reason_when_the_log_cannot_be_written(tmp_path):
+    # every write to /dev/full fails with ENOSPC
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    process, base = start_run([program, "--port", "0", "--log", "/dev/full"])
+    try:
+        assert http_get(f"{base}/rel/R/insert?MAC=aa&RSSI=-87")[0] == 202
+        assert process.wait(timeout=10) == 1
+        stderr = process.stderr.read()
+    finally:
+        process.kill()
+        process.wait()
+        process.stdout.close()
+        process.stderr.close()
+    reason = "OSError: [Errno 28] No space left on device"
+    assert stderr.splitlines()[-1] == f"error: event loop stopped: {reason}"

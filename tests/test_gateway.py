@@ -1,10 +1,26 @@
+import gc
 import http.client
 import json
+import logging
+import shutil
+import socket
+import ssl
+import subprocess
 import sys
 import threading
+import time
+import urllib.parse
+import urllib.request
+import warnings
+from contextlib import contextmanager
+
+import pytest
 
 from liot.config import RunConfig
-from liot.gateway import AsyncDelivery, OutboundClient
+from liot.engine import EndpointCall, Engine, invoke_module_sync
+from liot.errors import ModuleCallError
+from liot.gateway import AsyncDelivery, OutboundClient, build_outbound
+from liot.parser import parse_program
 from liot.values import parse_query_value
 
 from .helpers import get_json, http_get, record_wire, running_stack, stub_server
@@ -424,3 +440,218 @@ def test_delivery_counters_lose_no_update_between_workers():
     assert client.calls == rows
     assert delivery.failed == rows // 3
     assert delivery.delivered == rows - rows // 3
+
+
+# -- the outbound client on the wire ----------------------------------------------
+
+
+@pytest.fixture
+def no_unclosed_sockets():
+    """Fail the test if any socket or file it opened is left unclosed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaked == []
+
+
+@contextmanager
+def raw_stub(reply, connections=1, tls=None):
+    """Accept up to ``connections`` connections on a free port. Each request
+    head is recorded, answered with ``reply`` (None: never answer) and the
+    connection closed. Yields (base URL, recorded heads)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    heads: list[bytes] = []
+    stop = threading.Event()
+
+    def serve():
+        for _ in range(connections):
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            try:
+                if tls is not None:
+                    conn = tls.wrap_socket(conn, server_side=True)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    data += chunk
+                heads.append(data)
+                if reply is None:
+                    stop.wait(5)
+                else:
+                    conn.sendall(reply)
+            except OSError:
+                pass
+            finally:
+                conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    scheme = "http" if tls is None else "https"
+    try:
+        yield f"{scheme}://127.0.0.1:{listener.getsockname()[1]}", heads
+    finally:
+        stop.set()
+        listener.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def request_target(head: bytes) -> bytes:
+    return head.split(b"\r\n", 1)[0].split(b" ")[1]
+
+
+OK_REPLY = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{}"
+
+
+@pytest.mark.parametrize("path, params", [
+    ("/hooks/in", [("T", "5"), ("MAC", "38:E7:D8:D3:18:68"), ("RSSI", "-87")]),
+    ("/p?key=1", [("x", "2")]),
+    ("/a/b", [("TXT", "two words"), ("NAME", "Grüße & ?=#"), ("EMPTY", "")]),
+    ("", [("x", "1")]),
+    ("/plain", []),
+])
+def test_outbound_request_target_matches_urllib(no_unclosed_sockets, path, params):
+    with raw_stub(OK_REPLY, connections=2) as (base, heads):
+        full = base + path + ("?" + urllib.parse.urlencode(params) if params else "")
+        with urllib.request.urlopen(full, timeout=5) as response:
+            response.read()
+        assert OutboundClient().get(base + path, params, 5000) == (200, b"{}")
+    assert len(heads) == 2
+    assert request_target(heads[1]) == request_target(heads[0])
+    assert heads[1] == b"GET %s HTTP/1.0\r\nHost: %s\r\n\r\n" % (
+        request_target(heads[0]), base.removeprefix("http://").encode())
+
+
+def test_outbound_returns_a_redirect_instead_of_following_it(no_unclosed_sockets):
+    reply = b"HTTP/1.0 302 Found\r\nLocation: /elsewhere\r\n\r\nmoved"
+    with raw_stub(reply, connections=2) as (base, heads):
+        assert OutboundClient().get(f"{base}/old", [], 5000) == (302, b"moved")
+    assert [request_target(h) for h in heads] == [b"/old"]
+
+
+def test_outbound_body_limit(no_unclosed_sockets):
+    limit = 10
+    for body, accepted in [(b"x" * limit, True), (b"x" * (limit + 1), False)]:
+        with raw_stub(b"HTTP/1.0 200 OK\r\n\r\n" + body) as (base, _):
+            client = OutboundClient(body_limit=limit)
+            if accepted:
+                assert invoke_module_sync(client, base, [], (), 5000, limit) == {}
+            else:
+                with pytest.raises(ModuleCallError) as err:
+                    invoke_module_sync(client, base, [], (), 5000, limit)
+                assert err.value.kind == "malformed-body"
+
+
+def test_outbound_reads_at_most_body_limit_plus_one_bytes(no_unclosed_sockets):
+    with raw_stub(b"HTTP/1.0 200 OK\r\n\r\n" + b"y" * 100_000) as (base, _):
+        status, body = OutboundClient(body_limit=1000).get(base, [], 5000)
+    assert (status, body) == (200, b"y" * 1001)
+
+
+@pytest.mark.parametrize("reply", [
+    b"", b"hello there\r\n\r\n", b"HTTP/1.0 2x0 OK\r\n\r\n", b"HTTP/1.0 200 OK\r\n",
+    b"HTTP/1.0 2000 OK\r\n\r\n",
+])
+def test_outbound_rejects_a_reply_without_a_status_line(no_unclosed_sockets, reply):
+    with raw_stub(reply) as (base, _):
+        with pytest.raises(ConnectionError):
+            OutboundClient().get(base, [], 5000)
+
+
+def test_outbound_times_out_within_the_timeout(no_unclosed_sockets):
+    with raw_stub(None) as (base, heads):
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            OutboundClient().get(base, [("x", "1")], 200)
+        assert time.monotonic() - started < 2.0
+    assert len(heads) == 1
+
+
+def test_outbound_refused_connection(no_unclosed_sockets):
+    closed = socket.create_server(("127.0.0.1", 0))
+    port = closed.getsockname()[1]
+    closed.close()
+    with pytest.raises(ConnectionError):
+        OutboundClient().get(f"http://127.0.0.1:{port}/x", [], 2000)
+
+
+@pytest.mark.parametrize("url", [
+    "{base}/a b", "{base}/a\r\nX-Injected: 1", "{base}/\u00e9", "{base}/tab\there",
+    "ftp://127.0.0.1/x", "{base}:notaport/x", "http:///nohost", "no scheme",
+])
+def test_outbound_refuses_an_unsendable_url_before_connecting(no_unclosed_sockets, url):
+    with raw_stub(OK_REPLY) as (base, heads):
+        with pytest.raises(ConnectionError):
+            OutboundClient().get(url.format(base=base), [("x", "1")], 2000)
+    assert heads == []
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="openssl is not on PATH")
+def test_outbound_https_round_trip(tmp_path, monkeypatch, no_unclosed_sockets):
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+         "-keyout", str(key), "-out", str(cert), "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True,
+    )
+    server_tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server_tls.load_cert_chain(cert, key)
+    # without trusting the certificate the handshake fails
+    with raw_stub(OK_REPLY, tls=server_tls) as (base, _):
+        with pytest.raises(ConnectionError):
+            OutboundClient().get(f"{base}/secure", [], 5000)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    with raw_stub(OK_REPLY, tls=server_tls) as (base, heads):
+        assert OutboundClient().get(f"{base}/secure", [("x", "1")], 5000) == (200, b"{}")
+    assert [request_target(h) for h in heads] == [b"/secure?x=1"]
+
+
+# -- a URL that cannot be sent --------------------------------------------------------
+
+BAD_URL = "http://127.0.0.1:9/a b"
+
+
+def test_unsendable_webhook_is_counted_and_logged(caplog, no_unclosed_sockets):
+    delivery = AsyncDelivery(OutboundClient(), 500)
+    with caplog.at_level(logging.WARNING, logger="liot.gateway"):
+        delivery.submit(BAD_URL, [("N", "1")])
+        delivery.close()
+    assert (delivery.delivered, delivery.failed) == (0, 1)
+    assert any(r.getMessage().startswith(f"async GET {BAD_URL} failed") for r in caplog.records)
+
+
+def test_unsendable_webhooks_leave_the_workers_alive(no_unclosed_sockets):
+    with stub_server() as stub:
+        delivery = AsyncDelivery(OutboundClient(), 500)
+        for _ in range(AsyncDelivery.WORKERS):
+            delivery.submit(BAD_URL, [])
+        deadline = time.monotonic() + 10
+        while delivery.failed < AsyncDelivery.WORKERS and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert delivery.failed == AsyncDelivery.WORKERS
+        assert all(w.is_alive() for w in delivery._workers)
+        delivery.submit(f"{stub.url}/hook", [("N", "1")])
+        delivery.close()
+        assert stub.request_count("/hook") == 1
+    assert (delivery.delivered, delivery.failed) == (1, AsyncDelivery.WORKERS)
+
+
+def test_call_to_an_unsendable_url_is_a_transport_error(no_unclosed_sockets):
+    with pytest.raises(ModuleCallError) as err:
+        invoke_module_sync(OutboundClient(), BAD_URL, [], ("v",), 500, 1024)
+    assert err.value.kind == "transport"
+    source = "MODULE M (v)\nMAP MODULE M : m\nENDPOINT E () { CALL M () }"
+    config = RunConfig(base_url="http://127.0.0.1:9/a b")
+    engine = Engine(parse_program(source), config=config,
+                    outbound=build_outbound(config, inline_async=True))
+    engine.load()
+    result = engine.process_event(EndpointCall("E", ()))
+    assert result.error.startswith("ModuleCallError: module call http://127.0.0.1:9/a b/m failed")

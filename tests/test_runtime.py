@@ -2,10 +2,13 @@ import time
 
 import pytest
 
-from liot.config import EngineConfig
+from liot.config import EngineConfig, RunConfig
 from liot.engine import Engine
 from liot.parser import parse_program
-from liot.runtime import RECENT_LOG_LIMIT, EngineRuntime, QueueFullError
+from liot.runtime import RECENT_LOG_LIMIT, EngineRuntime, LoopStoppedError, QueueFullError
+from liot.store import PersistenceLog
+
+from .helpers import get_json, running_stack
 
 
 def test_wall_clock_timer_enqueues_ticks():
@@ -101,3 +104,45 @@ def test_direct_engine_keeps_the_full_firing_log():
     assert len(engine.firing_log) == 2 * RECENT_LOG_LIMIT
     assert [r.firings for r in results] == [[f] for f in engine.firing_log]
     engine.close()
+
+
+NO_SPACE = "OSError: [Errno 28] No space left on device"
+
+
+def fail_log_appends(monkeypatch):
+    def append(self, relation, record):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(PersistenceLog, "append", append)
+
+
+def test_log_write_error_stops_the_loop_and_the_server_says_so(tmp_path, monkeypatch):
+    fail_log_appends(monkeypatch)
+    source = "RELATION R (X)\nENDPOINT E (P) { R(P) }"
+    config = RunConfig(log_path=str(tmp_path / "run.jsonl"))
+    with running_stack(source, config) as (runtime, base):
+        assert get_json(f"{base}/healthz") == (200, {"ok": True})
+        assert get_json(f"{base}/rel/R/insert?X=1")[0] == 202
+        runtime.wait_idle()
+        assert runtime.failure == NO_SPACE
+        reason = {"error": f"event loop stopped: {NO_SPACE}"}
+        assert get_json(f"{base}/rel/R/insert?X=2") == (503, reason)
+        assert get_json(f"{base}/endpoint/E?P=3") == (503, reason)
+        assert get_json(f"{base}/healthz") == (503, {"ok": False, **reason})
+        assert get_json(f"{base}/rel/NOPE/insert?X=1")[0] == 404
+
+
+def test_events_queued_before_the_failure_are_dropped(tmp_path, monkeypatch):
+    fail_log_appends(monkeypatch)
+    engine = Engine(parse_program("RELATION R (X)"),
+                    config=EngineConfig(log_path=str(tmp_path / "run.jsonl")))
+    runtime = EngineRuntime(engine)
+    for i in range(5):  # queued before the loop starts
+        runtime.submit_insert("R", (float(i),))
+    runtime.start()
+    runtime.wait_idle()
+    assert runtime.failure == NO_SPACE
+    assert engine.store.size("R") == 1  # the failed event was applied, no later one
+    with pytest.raises(LoopStoppedError, match="event loop stopped: OSError"):
+        runtime.submit_insert("R", (9.0,))
+    runtime.shutdown()

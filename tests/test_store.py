@@ -13,7 +13,7 @@ from liot.errors import (
     ScalarError,
 )
 from liot.store import PersistenceLog, Record, Store, log_line, replay_log
-from liot.values import value_from_json
+from liot.values import ensure_value, value_from_json
 
 R = RelationDecl("R", ("MAC", "RSSI"))
 Q = RelationDecl("Q", ("N",))
@@ -312,6 +312,12 @@ MALFORMED = {
     "arity": ('{"rel":"Q","t":1,"seq":5,"v":[1,2]}', "relation Q takes 1 values, got 2"),
     "infinite number": ('{"rel":"Q","t":1,"seq":5,"v":[1e400]}', "non-finite number rejected: inf"),
     "NaN": ('{"rel":"Q","t":1,"seq":5,"v":[NaN]}', "non-finite number rejected: nan"),
+    "integer too large for a number": (
+        '{"rel":"Q","t":1,"seq":5,"v":[%s]}' % ("9" * 400), "int too large to convert to float"),
+    "integer past the digit limit": (
+        '{"rel":"Q","t":1,"seq":5,"v":[%s]}' % ("9" * 5000),
+        "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
     "nested value": ('{"rel":"Q","t":1,"seq":5,"v":[{"x":1}]}', "not a scalar JSON value: {'x': 1}"),
     "value checked before relation": (
         '{"rel":"NOPE","t":1,"seq":5,"v":[[1]]}', "not a scalar JSON value: [1]"),
@@ -352,3 +358,12 @@ def test_replay_does_not_join_a_split_line(tmp_path):
     assert err.value.line_number == 1
     assert "invalid JSON" in str(err.value)
     assert store.snapshot() == make_store().snapshot() and store.next_seq == 1
+
+
+def test_integer_too_large_for_a_number_is_a_scalar_error():
+    with pytest.raises(ScalarError, match="int too large to convert to float"):
+        ensure_value(int("9" * 400))
+    store = make_store()
+    with pytest.raises(ScalarError):
+        store.insert("Q", [int("9" * 400)], t=0)
+    assert store.size("Q") == 0
