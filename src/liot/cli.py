@@ -13,7 +13,6 @@ import sys
 import time
 import urllib.parse
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 
 from .clock import VirtualClock
@@ -195,6 +194,8 @@ def run_simulation(profile: SimProfile, timeout_ms: int = 5000) -> tuple[int, in
     as an error and is never sent again, since the server may already have
     applied it.
     """
+    from http.client import HTTPConnection, HTTPException, HTTPSConnection  # only simulate needs it
+
     target = urllib.parse.urlsplit(profile.url())
     connect = HTTPSConnection if target.scheme == "https" else HTTPConnection
     connection = connect(target.netloc, timeout=timeout_ms / 1000.0)

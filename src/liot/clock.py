@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Protocol
 
@@ -11,8 +12,20 @@ class Clock(Protocol):
 
 
 class WallClock:
+    """``time.time()`` in milliseconds, held at its last value while the
+    system clock is set back, so that it never decreases."""
+
+    def __init__(self):
+        self._last = 0
+        self._lock = threading.Lock()
+
     def now_ms(self) -> int:
-        return int(time.time() * 1000)
+        now = int(time.time() * 1000)
+        with self._lock:
+            if now < self._last:
+                return self._last
+            self._last = now
+        return now
 
 
 class VirtualClock:

@@ -13,16 +13,20 @@ import logging
 import queue
 import re
 import socket
-import ssl
+import socketserver
 import threading
 import urllib.parse
 from functools import cached_property
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from typing import TYPE_CHECKING
 
 from .runtime import EngineRuntime, LoopStoppedError, QueueFullError
 from .store import Record
 from .values import Value, dump_json, parse_query_value, value_to_json
 from .errors import ScalarError
+
+if TYPE_CHECKING:
+    import ssl
 
 logger = logging.getLogger("liot.gateway")
 
@@ -56,6 +60,8 @@ class OutboundClient:
 
     @cached_property
     def _tls(self) -> ssl.SSLContext:
+        import ssl  # OpenSSL costs ~4.6 MB, so only a client with an https target loads it
+
         return ssl.create_default_context()
 
     def get(self, url: str, params: list[tuple[str, str]], timeout_ms: int) -> tuple[int, bytes]:
@@ -221,29 +227,89 @@ def render_record(record: Record, fields: tuple[str, ...]) -> dict:
     return out
 
 
-# What send_response_only, send_header and end_headers would write.
-_REPLY_HEAD = "%s %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+_REPLY_HEAD = "HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+LINE_LIMIT = 65536  # bytes in the request line or in one header line
+HEADER_COUNT_LIMIT = 100
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(socketserver.StreamRequestHandler):
+    """HTTP/1.1 GET requests on one connection, served in order (RFC 9112).
+
+    Only the request line and the ``Connection`` header are read; a request
+    body is not expected. A malformed request gets a JSON error and the
+    connection is closed.
+    """
+
     # set on the subclass by GatewayServer: the runtime, and the declared
     # fields of each relation and parameters of each endpoint
     runtime: EngineRuntime
     relations: dict[str, tuple[str, ...]]
     endpoints: dict[str, tuple[str, ...]]
+    path: str  # request target of the request being served
 
     # -- plumbing -------------------------------------------------------
 
-    def log_message(self, format: str, *args) -> None:
-        logger.debug("%s " + format, self.address_string(), *args)
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except (ConnectionError, TimeoutError):
+            pass  # the client reset the connection or went quiet
+
+    def _serve_one(self) -> bool:
+        """Read one request head and answer it; True keeps the connection."""
+        readline = self.rfile.readline
+        line = readline(LINE_LIMIT + 1)
+        if len(line) > LINE_LIMIT:
+            return self._refuse(414, "request line too long")
+        words = line.decode("latin-1").split()
+        if not words:
+            return False  # the client closed the connection
+        version = _VERSION.fullmatch(words[-1])
+        major = int(version[1]) if version else 0
+        if major > 1:
+            return self._refuse(505, f"{words[-1]} is not supported")
+        if len(words) != 3 or major != 1:
+            return self._refuse(400, "bad request line")
+        keep_alive = int(version[2]) > 0
+        for count in range(HEADER_COUNT_LIMIT + 1):
+            header = readline(LINE_LIMIT + 1)
+            if len(header) > LINE_LIMIT:
+                return self._refuse(431, "header line too long")
+            if header in (b"\r\n", b"\n"):
+                break
+            if not header:
+                return False  # closed in the middle of the head
+            if count == HEADER_COUNT_LIMIT:
+                return self._refuse(431, f"more than {HEADER_COUNT_LIMIT} headers")
+            name, _, value = header.partition(b":")
+            if name.lower() == b"connection":
+                value = value.strip().lower()
+                if value == b"close":
+                    keep_alive = False
+                elif value == b"keep-alive":
+                    keep_alive = True
+        if words[0] != "GET":
+            return self._refuse(501, f"method {words[0]} is not supported")
+        target = words[1]
+        # "//x" would read as a host name; collapse it as http.server does (gh-87389)
+        self.path = "/" + target.lstrip("/") if target.startswith("//") else target
+        self.do_GET()
+        return keep_alive
+
+    def _refuse(self, status: int, message: str) -> bool:
+        self._fail(status, message)
+        return False
 
     def _reply(self, status: int, payload: object) -> None:
         # One write for status line, headers and body: with two, Nagle's
         # algorithm holds the body until the client's delayed ACK of the
         # headers, ~40 ms per reply on a reused connection.
         body = dump_json(payload).encode("utf-8")
-        head = _REPLY_HEAD % (self.protocol_version, status, self.responses[status][0], len(body))
+        head = _REPLY_HEAD % (status, _REASONS[status], len(body))
         self.wfile.write(head.encode("latin-1") + body)
 
     def _fail(self, status: int, message: str) -> None:
@@ -278,26 +344,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def do_GET(self) -> None:  # noqa: N802 (bench/tracer.py wraps it by this name)
         path = urllib.parse.urlsplit(self.path).path
         parts = [p for p in path.split("/") if p]
-        try:
-            if parts == ["healthz"]:
-                failure = self.runtime.failure
-                if failure is None:
-                    self._reply(200, {"ok": True})
-                else:
-                    self._reply(503, {"ok": False, "error": f"event loop stopped: {failure}"})
-            elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "insert":
-                self._handle_ingest(parts[1])
-            elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "read":
-                self._handle_read(parts[1])
-            elif len(parts) == 2 and parts[0] == "endpoint":
-                self._handle_endpoint(parts[1])
+        if parts == ["healthz"]:
+            failure = self.runtime.failure
+            if failure is None:
+                self._reply(200, {"ok": True})
             else:
-                self._fail(404, f"no route for {path}")
-        except BrokenPipeError:
-            pass
+                self._reply(503, {"ok": False, "error": f"event loop stopped: {failure}"})
+        elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "insert":
+            self._handle_ingest(parts[1])
+        elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "read":
+            self._handle_read(parts[1])
+        elif len(parts) == 2 and parts[0] == "endpoint":
+            self._handle_endpoint(parts[1])
+        else:
+            self._fail(404, f"no route for {path}")
 
     def _handle_ingest(self, relation: str) -> None:
         fields = self.relations.get(relation)
@@ -348,6 +411,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(202, {"queued": True, "seq": arrival})
 
 
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+
 class GatewayServer:
     """Threaded HTTP server bound to the runtime; port 0 picks a free port."""
 
@@ -358,8 +426,7 @@ class GatewayServer:
             "relations": {r.name: r.fields for r in program.relations},
             "endpoints": {e.name: e.params for e in program.endpoints},
         })
-        self.server = ThreadingHTTPServer((host, port), handler)
-        self.server.daemon_threads = True
+        self.server = _Server((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property

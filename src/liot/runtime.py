@@ -120,8 +120,11 @@ class EngineRuntime:
             due: list[str] = []
             with engine.timer_lock:
                 for ts in engine.timer_states.values():
-                    while ts.running and ts.next_fire <= now:
-                        ts.next_fire += ts.decl.interval_ms
+                    if ts.running and ts.next_fire <= now:
+                        # one tick, however many were missed (a suspend, a
+                        # clock jump): the next slot is the first after now
+                        interval = ts.decl.interval_ms
+                        ts.next_fire += ((now - ts.next_fire) // interval + 1) * interval
                         due.append(ts.decl.name)
             for name in due:
                 try:

@@ -10,6 +10,8 @@ reaching past the window is an error rather than a silent null.
 from __future__ import annotations
 
 import json
+import logging
+import os
 import threading
 from collections import deque
 from math import isfinite
@@ -26,6 +28,8 @@ from .errors import (
     UnknownRelationError,
 )
 from .values import Value, dump_json, ensure_value, value_from_json, value_to_json
+
+logger = logging.getLogger("liot.store")
 
 DEFAULT_WINDOW = 1024
 
@@ -186,12 +190,18 @@ def replay_log(store: Store, path: str | Path) -> int:
     Any malformed line aborts the replay with its line number and leaves the
     store as it was: each window's tail is collected apart, at most its
     capacity, and installed once at the end.
+
+    A last line without its newline that is not one JSON value was torn by
+    a crash in the middle of an append. It is never replayed: it is cut off
+    the file with a warning, so that the next append starts on a line of
+    its own. A whole last line without its newline is given one.
     """
+    torn = _end_on_a_newline(path)
     decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
     windows = store.windows
     tails = {name: deque(w.records, maxlen=w.capacity) for name, w in windows.items()}
     next_seq = store.next_seq
-    count = 0
+    count = line_number = 0
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -239,8 +249,38 @@ def replay_log(store: Store, path: str | Path) -> int:
             tails[relation].append(Record(t, seq, tuple(values)))
             next_seq = (seq if seq > next_seq else next_seq) + 1  # as Store.insert
             count += 1
+    if torn:
+        logger.warning("log line %d was torn (%d bytes, no newline): cut off the log",
+                       line_number + 1, torn)
     with store.lock:
         for name, window in windows.items():
             window.records[:] = tails[name]
         store.next_seq = next_seq
     return count
+
+
+def _end_on_a_newline(path: str | Path) -> int:
+    """Make the log end on a newline; returns how many torn bytes were cut."""
+    with open(path, "r+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end == 0:
+            return 0
+        handle.seek(end - 1)
+        if handle.read(1) == b"\n":
+            return 0
+        start, tail = end, b""
+        while start > 0 and b"\n" not in tail:  # walk back to the last line's start
+            step = min(start, 65536)
+            start -= step
+            handle.seek(start)
+            tail = handle.read(step) + tail
+        line_start = tail.rfind(b"\n") + 1
+        tail = tail[line_start:]
+        try:
+            json.loads(tail.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError: cut short
+            handle.truncate(start + line_start)
+            return len(tail)
+        handle.seek(end)
+        handle.write(b"\n")
+        return 0

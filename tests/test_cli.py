@@ -327,6 +327,46 @@ def test_script_output_identical_across_runs(tmp_path):
     assert runs[0] and all(r == runs[0] for r in runs)
 
 
+# Loaded by http.server; OpenSSL alone is ~4.6 MB of a process's memory.
+HEAVY_MODULES = ("http.server", "http.client", "email", "ssl")
+
+
+def heavy_imports(importtime_stderr):
+    """Modules of HEAVY_MODULES (or inside them) named in ``-X importtime`` output."""
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in importtime_stderr.splitlines() if line.startswith("import time:")}
+    assert "liot.cli" in names
+    return sorted(n for n in names if n in HEAVY_MODULES or n.split(".")[0] in ("email", "ssl"))
+
+
+def test_check_script_and_run_do_not_import_the_http_stack(tmp_path):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    script = write(tmp_path, "s.jsonl", script_lines({"at": 5, "insert": {"rel": "R", "v": ["aa", -87]}}))
+    env = {**os.environ, "PYTHONPROFILEIMPORTTIME": "1"}
+    liot = [sys.executable, "-m", "liot"]
+    for args in (["check", program], ["script", program, script]):
+        result = subprocess.run(liot + args, capture_output=True, text=True, env=env,
+                                timeout=20, check=True)
+        assert heavy_imports(result.stderr) == [], args
+    process = subprocess.Popen(liot + ["run", program, "--port", "0"], stdout=subprocess.DEVNULL,
+                               stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        stderr = ""
+        while "listening on " not in stderr and process.poll() is None:
+            stderr += process.stderr.readline()
+        base = stderr.split("listening on ", 1)[1].strip()
+        assert http_get(f"{base}/rel/R/insert?MAC=aa&RSSI=-87")[0] == 202
+        assert http_get(f"{base}/rel/R/read")[0] == 200
+        process.send_signal(signal.SIGINT)
+        stderr += process.communicate(timeout=10)[1]
+    finally:
+        process.kill()
+        process.wait()
+        process.stderr.close()
+    assert process.returncode == 0
+    assert heavy_imports(stderr) == []
+
+
 def test_script_rejects_bad_actions(tmp_path):
     program = write(tmp_path, "t.liot", COMPOSITE)
     bad = write(tmp_path, "bad.jsonl", '{"insert": {}}\n')
@@ -494,6 +534,21 @@ def test_run_refuses_a_malformed_log_and_exits(tmp_path, line, message):
     )
     assert result.returncode == 1
     assert result.stderr == f"error: log line 1: {message}\n"
+
+
+def test_run_starts_on_a_log_whose_last_line_is_torn(tmp_path):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    log = tmp_path / "run.jsonl"
+    whole = '{"rel":"R","t":1,"seq":1,"v":["aa",-87]}\n'
+    log.write_text(whole + '{"rel":"R","t":2,"se', encoding="utf-8")
+    process, base = start_run([program, "--port", "0", "--log", str(log)])
+    try:
+        assert http_get(f"{base}/rel/R/insert?MAC=bb&RSSI=-1")[0] == 202
+    finally:
+        assert stop_run(process) == 0
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0] == whole and len(lines) == 2
+    assert json.loads(lines[1])["v"] == ["bb", -1]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -332,6 +332,23 @@ def test_top_level_statements_skipped_after_replay(tmp_path):
     second.close()
 
 
+def test_restart_after_a_torn_last_line_replays_every_whole_record(tmp_path):
+    src = "RELATION R (MAC, RSSI)"
+    log = tmp_path / "run.jsonl"
+    log.write_text('{"rel":"R","t":1,"seq":1,"v":["aa",-1]}\n{"rel":"R","t":2,"se',
+                   encoding="utf-8")
+    first = make_engine(src, config=EngineConfig(log_path=str(log)))
+    assert first.replayed_records == 1
+    first.process_event(ExternalInsert("R", ("bb", -2.0)))
+    first.close()
+    # the insert was not glued onto the torn bytes: the second replay is clean
+    second = make_engine(src, config=EngineConfig(log_path=str(log)))
+    assert second.replayed_records == 2
+    assert [r.values for r in second.store.read("R", 10)] == [("bb", -2.0), ("aa", -1.0)]
+    assert second.store.snapshot() == first.store.snapshot()
+    second.close()
+
+
 def test_replay_fires_no_webhooks(tmp_path):
     src = "RELATION R (MAC, RSSI)"
     log = str(tmp_path / "run.jsonl")

@@ -5,6 +5,7 @@ import logging
 import shutil
 import socket
 import ssl
+import struct
 import subprocess
 import sys
 import threading
@@ -19,8 +20,9 @@ import pytest
 from liot.config import RunConfig
 from liot.engine import EndpointCall, Engine, invoke_module_sync
 from liot.errors import ModuleCallError
-from liot.gateway import AsyncDelivery, OutboundClient, build_outbound
+from liot.gateway import AsyncDelivery, GatewayServer, OutboundClient, build_outbound
 from liot.parser import parse_program
+from liot.runtime import EngineRuntime
 from liot.values import parse_query_value
 
 from .helpers import get_json, http_get, record_wire, running_stack, stub_server
@@ -243,6 +245,168 @@ def test_oversized_numeric_parameter_rejected():
     with running_stack(PROGRAM) as (runtime, base):
         status, _ = http_get(f"{base}/rel/R/insert?MAC=aa&RSSI={'9' * 400}")
         assert status == 400
+
+
+# -- the request reader on the wire -------------------------------------------------
+
+
+def open_raw(base):
+    host, port = base.removeprefix("http://").split(":")
+    return socket.create_connection((host, int(port)), timeout=5)
+
+
+def read_replies(sock, count):
+    """``count`` whole replies as (status, body), then whether the server
+    closed the connection after them."""
+    data, replies = b"", []
+    while len(replies) < count:
+        head_end = data.find(b"\r\n\r\n")
+        if head_end >= 0:
+            head = data[:head_end].decode("latin-1")
+            length = int(head.split("Content-Length: ")[1].split("\r\n")[0])
+            end = head_end + 4 + length
+            if len(data) >= end:
+                replies.append((int(head.split(" ")[1]), data[head_end + 4:end]))
+                data = data[end:]
+                continue
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed after {len(replies)} of {count} replies"
+        data += chunk
+    assert data == b""
+    sock.settimeout(0.3)
+    try:
+        closed = sock.recv(1) == b""
+    except TimeoutError:
+        closed = False
+    except ConnectionResetError:  # closed with part of the request unread
+        closed = True
+    return replies, closed
+
+
+def exchange(base, request, count=1):
+    with open_raw(base) as sock:
+        sock.sendall(request)
+        return read_replies(sock, count)
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GET /a b HTTP/1.1\r\n\r\n", 400),
+    (b"GET /healthz FOO/1.1\r\n\r\n", 400),
+    (b"GET /healthz\r\n\r\n", 400),  # HTTP/0.9 is not served
+    (b"GET /" + b"a" * 65537 + b" HTTP/1.1\r\n\r\n", 414),
+    (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 65537 + b"\r\n\r\n", 431),
+    (b"GET /healthz HTTP/1.1\r\n" + b"X: 1\r\n" * 101 + b"\r\n", 431),
+    (b"POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+    (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+], ids=["three words needed", "bad version", "HTTP/0.9", "414", "long header",
+        "101 headers", "POST", "HTTP/2.0"])
+def test_malformed_request_gets_a_json_error_and_the_connection_closes(request_bytes, status):
+    with running_stack(PROGRAM) as (runtime, base):
+        [(got, body)], closed = exchange(base, request_bytes)
+    assert got == status
+    assert list(json.loads(body)) == ["error"]
+    assert closed
+
+
+def test_one_hundred_headers_are_accepted():
+    with running_stack(PROGRAM) as (runtime, base):
+        request = b"GET /healthz HTTP/1.1\r\n" + b"X: 1\r\n" * 100 + b"\r\n"
+        assert exchange(base, request) == ([(200, b'{"ok":true}')], False)
+
+
+@pytest.mark.parametrize("version, connection, closed", [
+    (b"HTTP/1.0", b"", True),
+    (b"HTTP/1.0", b"Connection: keep-alive\r\n", False),
+    (b"HTTP/1.1", b"", False),
+    (b"HTTP/1.1", b"Connection: close\r\n", True),
+    (b"HTTP/1.1", b"connection: Close\r\n", True),
+])
+def test_keep_alive_follows_the_version_and_the_connection_header(version, connection, closed):
+    with running_stack(PROGRAM) as (runtime, base):
+        request = b"GET /healthz %s\r\nHost: x\r\n%s\r\n" % (version, connection)
+        assert exchange(base, request) == ([(200, b'{"ok":true}')], closed)
+
+
+def test_pipelined_requests_get_their_replies_in_order():
+    with running_stack(PROGRAM) as (runtime, base):
+        request = (b"GET /rel/R/insert?MAC=aa&RSSI=-1 HTTP/1.1\r\n\r\n"
+                   b"GET /nope HTTP/1.1\r\n\r\n"
+                   b"GET /healthz HTTP/1.1\r\n\r\n")
+        replies, closed = exchange(base, request, count=3)
+    assert [status for status, _ in replies] == [202, 404, 200]
+    assert not closed
+
+
+@pytest.mark.parametrize("target", [
+    "//rel/R/read?limit=2",  # would read as a host name without the collapse
+    "///rel/R/read?limit=2",
+    "http://127.0.0.1/rel/R/read?limit=2",
+])
+def test_request_target_forms_route_as_a_plain_path(target):
+    with running_stack(PROGRAM) as (runtime, base):
+        assert exchange(base, b"GET /rel/R/insert?MAC=aa&RSSI=-1 HTTP/1.1\r\n\r\n")[0][0][0] == 202
+        runtime.wait_idle()
+        [(status, body)], _ = exchange(base, b"GET %s HTTP/1.1\r\n\r\n" % target.encode())
+    assert status == 200 and [r["MAC"] for r in json.loads(body)] == ["aa"]
+
+
+def test_a_client_reset_in_the_middle_of_a_head_leaves_nothing_on_stderr(capfd):
+    with running_stack(PROGRAM) as (runtime, base):
+        for _ in range(3):
+            sock = open_raw(base)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: ")
+            time.sleep(0.05)  # the handler reads the partial head, then waits
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # a linger of 0 sends a reset
+        time.sleep(0.2)
+        assert http_get(f"{base}/healthz")[0] == 200
+    assert capfd.readouterr().err == ""
+
+
+def json_reply(status: bytes, body: bytes) -> bytes:
+    return (b"HTTP/1.1 %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+            % (status, len(body), body))
+
+
+def receive(sock, size):
+    data = b""
+    while len(data) < size:
+        chunk = sock.recv(65536)
+        assert chunk, data
+        data += chunk
+    return data
+
+
+def test_reply_bytes_of_each_route_are_pinned():
+    routes = [
+        (b"/healthz", json_reply(b"200 OK", b'{"ok":true}')),
+        (b"/rel/R/insert?MAC=aa&RSSI=-87", json_reply(b"202 Accepted", b'{"queued":true,"seq":1}')),
+        (b"/rel/R/insert?MAC=aa",
+         json_reply(b"400 Bad Request", b'{"error":"missing parameter \'RSSI\'"}')),
+        (b"/nope", json_reply(b"404 Not Found", b'{"error":"no route for /nope"}')),
+    ]
+    with running_stack(PROGRAM) as (runtime, base), open_raw(base) as sock:
+        for target, reply in routes:
+            sock.sendall(b"GET %s HTTP/1.1\r\n\r\n" % target)
+            assert receive(sock, len(reply)) == reply
+
+
+def test_reply_bytes_of_a_503_are_pinned():
+    engine = Engine(parse_program("RELATION R (X)"), config=RunConfig(queue_size=1))
+    engine.load()
+    runtime = EngineRuntime(engine)  # loop thread never started: nothing drains
+    server = GatewayServer(runtime, host="127.0.0.1", port=0)
+    server.start()
+    replies = (json_reply(b"202 Accepted", b'{"queued":true,"seq":1}')
+               + json_reply(b"503 Service Unavailable", b'{"error":"event queue is full"}'))
+    try:
+        with open_raw(server.base_url) as sock:
+            sock.sendall(b"GET /rel/R/insert?X=1 HTTP/1.1\r\n\r\n"
+                         b"GET /rel/R/insert?X=2 HTTP/1.1\r\n\r\n")
+            assert receive(sock, len(replies)) == replies
+    finally:
+        server.stop()
+        engine.close()
 
 
 # -- outbound: webhooks, module calls, mapped relations ---------------------------

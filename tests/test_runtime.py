@@ -1,7 +1,10 @@
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import liot.clock
+from liot.clock import WallClock
 from liot.config import EngineConfig, RunConfig
 from liot.engine import Engine
 from liot.parser import parse_program
@@ -23,6 +26,44 @@ def test_wall_clock_timer_enqueues_ticks():
         assert engine.store.size("TICKS") >= 3
     finally:
         runtime.shutdown()
+
+
+class SettableWallClock(WallClock):
+    def __init__(self, now_ms):
+        super().__init__()
+        self.now = now_ms
+
+    def now_ms(self):
+        return self.now
+
+
+def test_ticks_missed_across_a_clock_jump_are_queued_once():
+    # an hour's suspend used to queue 14,400 ticks of a 250 ms timer
+    clock = SettableWallClock(1_000_000)
+    source = "RELATION TICKS (N)\nTIMER TM (250) { TICKS(1) }"
+    engine = Engine(parse_program(source), config=EngineConfig(), clock=clock)
+    runtime = EngineRuntime(engine)
+    runtime.start()
+    try:
+        clock.now += 3_600_000
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and engine.store.size("TICKS") == 0:
+            time.sleep(0.02)
+        time.sleep(0.2)  # ten more polls at the same time queue nothing
+        runtime.wait_idle()
+        assert engine.store.size("TICKS") == 1
+        next_fire = engine.timer_states["TM"].next_fire
+        assert clock.now < next_fire <= clock.now + 250
+        assert (next_fire - 1_000_000) % 250 == 0  # still on the timer's own slots
+    finally:
+        runtime.shutdown()
+
+
+def test_wall_clock_never_goes_back(monkeypatch):
+    readings = iter([1000.0, 999.0, 1000.0005, 1000.25])
+    monkeypatch.setattr(liot.clock, "time", SimpleNamespace(time=lambda: next(readings)))
+    clock = WallClock()
+    assert [clock.now_ms() for _ in range(4)] == [1_000_000, 1_000_000, 1_000_000, 1_000_250]
 
 
 def test_shutdown_drains_queued_events():

@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 
 import pytest
@@ -226,6 +227,59 @@ def test_replay_rejects_invalid_json(tmp_path):
     with pytest.raises(ReplayError) as err:
         replay_log(make_store(), path)
     assert err.value.line_number == 1
+
+
+TORN = '{"rel":"R","t":2,"se'
+
+
+def test_torn_last_line_is_cut_off_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "run.jsonl"
+    good = '{"rel":"Q","t":1,"seq":1,"v":[5]}\n'
+    path.write_text(good + "\n" + TORN, encoding="utf-8")
+    store = make_store()
+    with caplog.at_level(logging.WARNING, logger="liot.store"):
+        assert replay_log(store, path) == 1
+    assert [r.message for r in caplog.records] == [
+        "log line 3 was torn (20 bytes, no newline): cut off the log"]
+    assert path.read_text(encoding="utf-8") == good + "\n"
+    assert store.snapshot()["Q"] == [Record(1, 1, (5.0,))] and store.next_seq == 2
+
+
+@pytest.mark.parametrize("tail", [
+    b'{"rel":"Q","t":2,"seq":2,"v":["\xc3',  # cut inside a two-byte character
+    b'{"rel":"Q","t":2,"seq":2,"v":["' + b"x" * 200_000,  # longer than one read back
+    b"not json",
+], ids=["inside a character", "long line", "not json"])
+def test_any_unterminated_last_line_that_is_not_json_is_cut_off(tmp_path, tail):
+    path = tmp_path / "run.jsonl"
+    good = b'{"rel":"Q","t":1,"seq":1,"v":[5]}\n'
+    path.write_bytes(good + tail)
+    assert replay_log(make_store(), path) == 1
+    assert path.read_bytes() == good
+
+
+def test_a_log_that_is_one_torn_line_is_emptied(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text(TORN, encoding="utf-8")
+    store = make_store()
+    assert replay_log(store, path) == 0
+    assert path.read_bytes() == b"" and store.next_seq == 1
+
+
+def test_whole_last_record_without_newline_is_replayed_and_given_one(tmp_path):
+    path = tmp_path / "run.jsonl"
+    lines = '{"rel":"Q","t":1,"seq":1,"v":[5]}\n{"rel":"Q","t":2,"seq":2,"v":[6]}'
+    path.write_text(lines, encoding="utf-8")
+    assert replay_log(make_store(), path) == 2
+    assert path.read_text(encoding="utf-8") == lines + "\n"
+
+
+def test_unterminated_bad_record_is_still_refused(tmp_path):
+    # one whole JSON value is not torn: it is checked like any other line
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"rel":"NOPE","t":1,"seq":1,"v":[5]}', encoding="utf-8")
+    with pytest.raises(ReplayError, match="log line 1: unknown relation NOPE"):
+        replay_log(make_store(), path)
 
 
 def test_log_line_shape_is_exact(tmp_path):
