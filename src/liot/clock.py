@@ -1,8 +1,11 @@
-"""Millisecond clocks: wall time for serving, virtual time for determinism."""
+"""Millisecond clocks: wall time for serving, virtual time for determinism.
+
+An engine's clock is read on one thread only: its event loop, which also
+runs the timers (``Engine.load`` reads it before the loop starts).
+"""
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Protocol
 
@@ -17,14 +20,12 @@ class WallClock:
 
     def __init__(self):
         self._last = 0
-        self._lock = threading.Lock()
 
     def now_ms(self) -> int:
         now = int(time.time() * 1000)
-        with self._lock:
-            if now < self._last:
-                return self._last
-            self._last = now
+        if now < self._last:
+            return self._last
+        self._last = now
         return now
 
 

@@ -8,9 +8,10 @@ order. Statement-driven inserts nest; the cascade depth limit guarantees every
 event terminates.
 
 Rule matching uses an alpha-layer dependency index (relation name -> rules in
-declaration order). ``naive_oracle`` runs the identical machinery but without
-the index, re-evaluating every active rule after every insert; equality of the
-two firing logs is the correctness contract for the index.
+declaration order). ``NaiveEngine``, which ``naive_oracle`` runs, is the
+identical machinery without the index, re-evaluating every active rule after
+every insert; equality of the two firing logs is the correctness contract for
+the index.
 
 Rule conditions and statements are compiled into closures once, when the
 engine is built; the names they mention (rules, timers, modules) are looked
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -184,10 +184,7 @@ class Engine:
         config: EngineConfig | None = None,
         clock: Clock | None = None,
         outbound: Outbound | None = None,
-        rule_selection: str = "indexed",
     ):
-        if rule_selection not in ("indexed", "all"):
-            raise ValueError(f"bad rule_selection {rule_selection!r}")
         for name in [r.name for r in program.relations] + [r.name for r in program.rules]:
             if dump_json(name) != f'"{name}"':  # see _FIRING_JSON
                 raise ValueError(f"name {name!r} would need escaping in the firing log")
@@ -196,7 +193,6 @@ class Engine:
         self.config.validate()
         self.clock: Clock = clock or WallClock()
         self.outbound: Outbound = outbound or _NoOutbound()
-        self.rule_selection = rule_selection
 
         self.store = Store(
             program.relations,
@@ -230,7 +226,6 @@ class Engine:
             t.name: TimerState(decl=t, order=i, body=compile_block(t.body))
             for i, t in enumerate(program.timers)
         }
-        self.timer_lock = threading.RLock()
 
         self._endpoints_by_name = {
             e.name: (e.params, compile_block(e.body)) for e in program.endpoints
@@ -263,10 +258,9 @@ class Engine:
                 self.replayed_records = replay_log(self.store, path)
             self.persistence = PersistenceLog(path)
         now = self.clock.now_ms()
-        with self.timer_lock:
-            for ts in self.timer_states.values():
-                ts.running = True
-                ts.next_fire = now + ts.decl.interval_ms
+        for ts in self.timer_states.values():
+            ts.running = True
+            ts.next_fire = now + ts.decl.interval_ms
         # initialization statements are skipped when a previous run was
         # restored: replaying state and re-running the init would double it
         if self.replayed_records == 0 and self._top_level:
@@ -330,7 +324,7 @@ class Engine:
         if ts is None:
             raise UnknownNameError(f"unknown timer {name}")
         if not ts.running:
-            return  # stale tick queued before a STOP was processed
+            return  # a tick of a stopped timer does nothing
         self._run_block(ts.body, {}, cascade)
 
     def _run_block(self, body: tuple[Step, ...], scope: Scope, cascade: CascadeContext) -> None:
@@ -372,11 +366,10 @@ class Engine:
             cascade.exit()
 
     def _set_running(self, name: str, running: bool, scope: Scope, cascade: CascadeContext) -> None:
-        with self.timer_lock:
-            ts = self.timer_states[name]
-            ts.running = running
-            if running:
-                ts.next_fire = self.clock.now_ms() + ts.decl.interval_ms
+        ts = self.timer_states[name]
+        ts.running = running
+        if running:
+            ts.next_fire = self.clock.now_ms() + ts.decl.interval_ms
 
     def _set_active(self, name: str, active: bool, scope: Scope, cascade: CascadeContext) -> None:
         self._rules_by_name[name].active = active
@@ -386,9 +379,7 @@ class Engine:
         if mapping is not None:
             self._forward_insert(mapping, relation, values)
         store = self.store
-        record = store.insert(relation, values, t=self.clock.now_ms())
-        if self.persistence is not None:
-            self.persistence.append(relation, record)
+        record = store.insert(relation, values, t=self.clock.now_ms(), log=self.persistence)
         webhook = self.config.webhooks.get(relation)
         if webhook is not None:
             decl = store.window(relation).decl
@@ -400,32 +391,16 @@ class Engine:
         if trigger is not None:
             self._event_firings.append(Firing(record.seq, "trigger", relation, record.t))
             self._run_block(trigger, {}, cascade)
-        if self.rule_selection == "indexed":
-            for rs in self.dependency_index.get(relation, []):
-                if not rs.active:
-                    continue
-                self.condition_evaluations += 1
-                if eval_condition(rs.condition, store, {}) is True:
-                    self._fire_rule(rs, record.seq, record.t, cascade)
-        else:
-            # naive scan: every active rule is re-evaluated after every
-            # insert, with no relation->rules index. A rule still only
-            # *fires* for inserts into a relation its condition mentions;
-            # evaluations of unrelated rules are advisory, so errors they
-            # raise cannot abort the event either.
-            for rs in self.rule_states:
-                if not rs.active:
-                    continue
-                self.condition_evaluations += 1
-                if not rs.depends_on or relation in rs.depends_on:
-                    if eval_condition(rs.condition, store, {}) is True:
-                        self._fire_rule(rs, record.seq, record.t, cascade)
-                else:
-                    try:
-                        eval_condition(rs.condition, store, {})
-                    except EngineRuntimeError:
-                        pass
+        self._run_rules(relation, record, cascade)
         return record
+
+    def _run_rules(self, relation: str, record: Record, cascade: CascadeContext) -> None:
+        for rs in self.dependency_index.get(relation, ()):
+            if not rs.active:
+                continue
+            self.condition_evaluations += 1
+            if eval_condition(rs.condition, self.store, {}) is True:
+                self._fire_rule(rs, record.seq, record.t, cascade)
 
     def _fire_rule(self, rs: RuleState, seq: int, t: int, cascade: CascadeContext) -> None:
         self._event_firings.append(Firing(seq, "rule", rs.decl.name, t))
@@ -509,18 +484,16 @@ class Engine:
         if target_ms < clock.now_ms():
             raise ValueError("cannot advance backwards")
         while True:
-            with self.timer_lock:
-                due = [
-                    (ts.next_fire, ts.order, ts.decl.name)
-                    for ts in self.timer_states.values()
-                    if ts.running and ts.next_fire <= target_ms
-                ]
+            due = [
+                (ts.next_fire, ts.order, ts.decl.name)
+                for ts in self.timer_states.values()
+                if ts.running and ts.next_fire <= target_ms
+            ]
             if not due:
                 break
             fire_at, _, name = min(due)
             clock.set_ms(max(fire_at, clock.now_ms()))
-            with self.timer_lock:
-                self.timer_states[name].next_fire = fire_at + self.timer_states[name].decl.interval_ms
+            self.timer_states[name].next_fire = fire_at + self.timer_states[name].decl.interval_ms
             self.process_event(TimerTick(name))
         clock.set_ms(target_ms)
 
@@ -580,6 +553,27 @@ def invoke_module_sync(
 # -- the naive twin ---------------------------------------------------------------
 
 
+class NaiveEngine(Engine):
+    """The engine with no dependency index: every active rule is re-evaluated
+    after every insert. A rule still only *fires* for inserts into a relation
+    its condition mentions; evaluations of unrelated rules are advisory, so
+    errors they raise cannot abort the event either."""
+
+    def _run_rules(self, relation: str, record: Record, cascade: CascadeContext) -> None:
+        for rs in self.rule_states:
+            if not rs.active:
+                continue
+            self.condition_evaluations += 1
+            if not rs.depends_on or relation in rs.depends_on:
+                if eval_condition(rs.condition, self.store, {}) is True:
+                    self._fire_rule(rs, record.seq, record.t, cascade)
+            else:
+                try:
+                    eval_condition(rs.condition, self.store, {})
+                except EngineRuntimeError:
+                    pass
+
+
 def naive_oracle(
     program: ast.Program,
     events: Iterable[Event],
@@ -590,13 +584,7 @@ def naive_oracle(
     """Run the same semantics with no dependency index: after every insert,
     every active rule is re-evaluated. The firing log must match the indexed
     engine's exactly."""
-    engine = Engine(
-        program,
-        config=config,
-        clock=clock or VirtualClock(),
-        outbound=outbound,
-        rule_selection="all",
-    )
+    engine = NaiveEngine(program, config=config, clock=clock or VirtualClock(), outbound=outbound)
     engine.load()
     for event in events:
         engine.process_event(event)

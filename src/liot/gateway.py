@@ -232,6 +232,9 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 LINE_LIMIT = 65536  # bytes in the request line or in one header line
 HEADER_COUNT_LIMIT = 100
+# seconds a connection may wait for its next request, or stall a read or a
+# write; each open connection holds a thread
+IDLE_TIMEOUT_SECONDS = 60.0
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
@@ -251,6 +254,10 @@ class _Handler(socketserver.StreamRequestHandler):
     path: str  # request target of the request being served
 
     # -- plumbing -------------------------------------------------------
+
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_SECONDS
+        super().setup()
 
     def handle(self) -> None:
         try:

@@ -1,9 +1,14 @@
-"""Event queue and worker threads around an Engine.
+"""Event queue and the loop thread around an Engine.
 
 The engine itself is synchronous; this wrapper gives it the serialized event
-loop: HTTP handlers and the timer thread only enqueue onto one bounded FIFO,
-a single loop thread processes events in arrival order, and shutdown drains
-whatever is queued before the persistence log closes.
+loop: HTTP handlers only enqueue onto one bounded FIFO, a single loop thread
+processes events in arrival order, and shutdown drains whatever is queued
+before the persistence log closes.
+
+The loop also runs the wall-clock timers. It waits on the queue only until
+the earliest running timer is due, and after each event and each such
+timeout it runs one tick of every due timer, in declaration order. Ticks are
+never queued, so a full queue cannot drop them.
 
 The loop is fail-stop: an exception that is not an event's own error (say an
 OSError from the persistence log) leaves the engine's state in doubt, so the
@@ -18,16 +23,13 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from .clock import WallClock
-from .engine import EndpointCall, Engine, Event, ExternalInsert, TimerTick
+from .engine import EndpointCall, Engine, Event, ExternalInsert, TimerState, TimerTick
 from .errors import LiotError
 from .values import Value
 
 logger = logging.getLogger("liot.runtime")
-
-TIMER_POLL_SECONDS = 0.02
 
 # Firings and event errors a server keeps in memory; older ones are dropped
 # so that memory stays bounded over a long run.
@@ -42,11 +44,8 @@ class LoopStoppedError(LiotError):
     """The loop failed and takes no more events."""
 
 
-@dataclass(frozen=True)
 class Shutdown:
     """Queued last by ``shutdown``: the loop ends when it reaches it."""
-
-    arrival_seq: int = 0
 
 
 class EngineRuntime:
@@ -57,11 +56,8 @@ class EngineRuntime:
         self.events: queue.Queue[Event | Shutdown] = queue.Queue(maxsize=engine.config.queue_size)
         self._arrival = 0
         self._arrival_lock = threading.Lock()
-        self.processed_arrival_seq = 0
         self.failure: str | None = None  # why the loop stopped, once it has
         self._loop_thread: threading.Thread | None = None
-        self._timer_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
 
     # -- enqueue (any thread) ----------------------------------------------
 
@@ -83,67 +79,57 @@ class EngineRuntime:
     def submit_endpoint(self, name: str, args: tuple[Value, ...]) -> int:
         return self._submit(lambda a: EndpointCall(name, args, arrival_seq=a))
 
-    def submit_timer_tick(self, name: str) -> int:
-        return self._submit(lambda a: TimerTick(name, arrival_seq=a))
-
-    # -- worker threads ------------------------------------------------------
+    # -- the loop thread -----------------------------------------------------
 
     def start(self) -> None:
         self.engine.load()
         self._loop_thread = threading.Thread(target=self._run_loop, name="liot-loop", daemon=True)
         self._loop_thread.start()
-        if isinstance(self.engine.clock, WallClock) and self.engine.timer_states:
-            self._timer_thread = threading.Thread(
-                target=self._run_timers, name="liot-timers", daemon=True
-            )
-            self._timer_thread.start()
 
     def _run_loop(self) -> None:
+        engine = self.engine
+        timers = list(engine.timer_states.values()) if isinstance(engine.clock, WallClock) else []
         while True:
-            event = self.events.get()
+            try:
+                event = self.events.get(timeout=self._seconds_to_next_tick(timers))
+            except queue.Empty:
+                event = None  # a timer is due
             try:
                 if isinstance(event, Shutdown):
                     return
                 if self.failure is None:  # after a failure, queued events are dropped
-                    self.engine.process_event(event)
+                    if event is not None:
+                        engine.process_event(event)
+                    if timers:
+                        self._run_due_ticks(timers)
             except Exception as exc:  # process_event handles the event's own errors
                 self.failure = f"{type(exc).__name__}: {exc}"
                 logger.critical("event loop stopped: %s", self.failure, exc_info=True)
+                timers = []  # no more ticks, and no more waking for them
             finally:
-                self.processed_arrival_seq = max(self.processed_arrival_seq, event.arrival_seq)
-                self.events.task_done()
+                if event is not None:
+                    self.events.task_done()
 
-    def _run_timers(self) -> None:
-        engine = self.engine
-        while not self._stopping.wait(TIMER_POLL_SECONDS):
-            now = engine.clock.now_ms()
-            due: list[str] = []
-            with engine.timer_lock:
-                for ts in engine.timer_states.values():
-                    if ts.running and ts.next_fire <= now:
-                        # one tick, however many were missed (a suspend, a
-                        # clock jump): the next slot is the first after now
-                        interval = ts.decl.interval_ms
-                        ts.next_fire += ((now - ts.next_fire) // interval + 1) * interval
-                        due.append(ts.decl.name)
-            for name in due:
-                try:
-                    self.submit_timer_tick(name)
-                except QueueFullError:
-                    logger.warning("timer tick for %s dropped: queue full", name)
-                except LoopStoppedError:
-                    return
+    def _seconds_to_next_tick(self, timers: list[TimerState]) -> float | None:
+        due = [ts.next_fire for ts in timers if ts.running]
+        if not due:
+            return None
+        return max(min(due) - self.engine.clock.now_ms(), 0) / 1000
+
+    def _run_due_ticks(self, timers: list[TimerState]) -> None:
+        now = self.engine.clock.now_ms()
+        for ts in timers:
+            if ts.running and ts.next_fire <= now:
+                # one tick, however many were missed (a suspend, a clock
+                # jump): the next slot is the first after now
+                interval = ts.decl.interval_ms
+                ts.next_fire += ((now - ts.next_fire) // interval + 1) * interval
+                self.engine.process_event(TimerTick(ts.decl.name))
 
     def shutdown(self) -> None:
-        """Stop timers, drain the queue, then close the engine."""
-        self._stopping.set()
-        if self._timer_thread is not None:
-            self._timer_thread.join()
+        """Drain the queue, then close the engine."""
         if self._loop_thread is not None:
-            with self._arrival_lock:
-                self._arrival += 1
-                arrival = self._arrival
-            self.events.put(Shutdown(arrival_seq=arrival))
+            self.events.put(Shutdown())
             self._loop_thread.join()
         try:
             self.engine.close()

@@ -5,6 +5,10 @@ sequence number that increases strictly across all relations, and the engine
 clock guarantees timestamps are non-decreasing in sequence order. The window
 is a ring: when a relation reaches capacity the oldest record is evicted, and
 reaching past the window is an error rather than a silent null.
+
+Writes go ahead to the log: ``Store.insert`` appends a record to its
+persistence log before the record enters its window, so a record that could
+not be logged is never seen.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import logging
 import os
 import threading
 from collections import deque
+from itertools import islice
 from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
@@ -49,7 +54,7 @@ class RelationWindow:
         self.decl = decl
         self.capacity = capacity
         self.positions = {field: decl.fields.index(field) for field in decl.fields}
-        self.records: list[Record] = []
+        self.records: deque[Record] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -90,21 +95,27 @@ class Store:
             raise UnknownRelationError(f"unknown relation {relation}") from None
 
     def insert(
-        self, relation: str, values: Iterable[object], t: int, seq: int | None = None
+        self,
+        relation: str,
+        values: Iterable[object],
+        t: int,
+        seq: int | None = None,
+        log: PersistenceLog | None = None,
     ) -> Record:
+        """Check and append one record; with a ``log``, the record is written
+        there first, and the store is unchanged when that write raises."""
         window = self.window(relation)
         normalized = tuple(map(ensure_value, values))
         if len(normalized) != len(window.decl.fields):
             raise _arity_error(relation, len(window.decl.fields), len(normalized))
-        records = window.records
+        next_seq = self.next_seq  # only the writing thread changes it
+        if seq is None:
+            seq = next_seq
+        record = Record(t, seq, normalized)
+        if log is not None:
+            log.append(relation, record)
         with self.lock:
-            next_seq = self.next_seq
-            if seq is None:
-                seq = next_seq
-            record = Record(t, seq, normalized)
-            records.append(record)
-            if len(records) > window.capacity:
-                del records[0]
+            window.records.append(record)  # evicts the oldest at capacity
             self.next_seq = (seq if seq > next_seq else next_seq) + 1
         return record
 
@@ -135,11 +146,9 @@ class Store:
         """Newest-first prefix of the window, at most ``limit`` records."""
         if limit < 1:
             raise ValueError(f"limit must be positive, got {limit}")
-        window = self.window(relation)
+        records = self.window(relation).records
         with self.lock:
-            newest_first = window.records[-limit:]
-        newest_first.reverse()
-        return newest_first
+            return list(islice(reversed(records), limit))
 
     def size(self, relation: str) -> int:
         with self.lock:
@@ -187,9 +196,9 @@ def replay_log(store: Store, path: str | Path) -> int:
     """Rebuild windows from a persistence log; returns the record count.
 
     Replay only restores state: it never fires triggers, rules or webhooks.
-    Any malformed line aborts the replay with its line number and leaves the
-    store as it was: each window's tail is collected apart, at most its
-    capacity, and installed once at the end.
+    Any malformed line, one that is not UTF-8 among them, aborts the replay
+    with its line number and leaves the store as it was: each window's tail
+    is collected apart, at most its capacity, and installed once at the end.
 
     A last line without its newline that is not one JSON value was torn by
     a crash in the middle of an append. It is never replayed: it is cut off
@@ -202,9 +211,12 @@ def replay_log(store: Store, path: str | Path) -> int:
     tails = {name: deque(w.records, maxlen=w.capacity) for name, w in windows.items()}
     next_seq = store.next_seq
     count = line_number = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+            try:
+                line = line.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise ReplayError(f"log line {line_number}: not UTF-8: {exc}", line_number) from None
             if not line:
                 continue
             try:
@@ -254,7 +266,7 @@ def replay_log(store: Store, path: str | Path) -> int:
                        line_number + 1, torn)
     with store.lock:
         for name, window in windows.items():
-            window.records[:] = tails[name]
+            window.records = tails[name]
         store.next_seq = next_seq
     return count
 

@@ -8,6 +8,7 @@ from liot.engine import (
     Engine,
     ExternalInsert,
     Firing,
+    NaiveEngine,
     TimerTick,
     export_firing_log,
     naive_oracle,
@@ -37,13 +38,12 @@ class FakeOutbound:
         self.async_calls.append((url, params))
 
 
-def make_engine(source, config=None, outbound=None, rule_selection="indexed"):
-    engine = Engine(
+def make_engine(source, config=None, outbound=None, engine_class=Engine):
+    engine = engine_class(
         parse_program(source),
         config=config or EngineConfig(),
         clock=VirtualClock(0),
         outbound=outbound,
-        rule_selection=rule_selection,
     )
     engine.load()
     return engine
@@ -585,7 +585,7 @@ def test_oracle_evaluates_more_but_fires_the_same():
         indexed.process_event(event)
     assert indexed.condition_evaluations == 0  # rule only depends on Q
 
-    naive = make_engine(src, rule_selection="all")
+    naive = make_engine(src, engine_class=NaiveEngine)
     for event in events:
         naive.process_event(event)
     assert naive.condition_evaluations == 5

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from liot import gateway
 from liot.config import RunConfig
 from liot.engine import EndpointCall, Engine, invoke_module_sync
 from liot.errors import ModuleCallError
@@ -361,6 +362,29 @@ def test_a_client_reset_in_the_middle_of_a_head_leaves_nothing_on_stderr(capfd):
         time.sleep(0.2)
         assert http_get(f"{base}/healthz")[0] == 200
     assert capfd.readouterr().err == ""
+
+
+def test_a_silent_connection_is_closed_and_its_thread_ends(monkeypatch):
+    monkeypatch.setattr(gateway, "IDLE_TIMEOUT_SECONDS", 0.3)
+    with running_stack(PROGRAM) as (runtime, base):
+        baseline = set(threading.enumerate())
+        socks = [open_raw(base) for _ in range(5)]
+        try:
+            for sock in socks:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                reply = json_reply(b"200 OK", b'{"ok":true}')
+                assert receive(sock, len(reply)) == reply  # kept open, then left silent
+            connection_threads = set(threading.enumerate()) - baseline
+            assert len(connection_threads) == 5
+            for sock in socks:
+                assert sock.recv(1) == b""  # closed by the server well within 5 s
+        finally:
+            for sock in socks:
+                sock.close()
+        for thread in connection_threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        assert http_get(f"{base}/healthz")[0] == 200
 
 
 def json_reply(status: bytes, body: bytes) -> bytes:

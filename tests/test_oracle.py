@@ -9,18 +9,16 @@ import random
 
 from liot.clock import VirtualClock
 from liot.config import EngineConfig
-from liot.engine import EndpointCall, Engine, ExternalInsert, export_firing_log
+from liot.engine import EndpointCall, Engine, ExternalInsert, NaiveEngine, export_firing_log
 
 from .generators import random_actions, runnable_program
 
 
+ENGINES = {"indexed": Engine, "all": NaiveEngine}
+
+
 def drive(program, actions, rule_selection):
-    engine = Engine(
-        program,
-        config=EngineConfig(),
-        clock=VirtualClock(0),
-        rule_selection=rule_selection,
-    )
+    engine = ENGINES[rule_selection](program, config=EngineConfig(), clock=VirtualClock(0))
     engine.load()
     for action in actions:
         if action[0] == "insert":

@@ -1,3 +1,4 @@
+import threading
 import time
 from types import SimpleNamespace
 
@@ -57,6 +58,79 @@ def test_ticks_missed_across_a_clock_jump_are_queued_once():
         assert (next_fire - 1_000_000) % 250 == 0  # still on the timer's own slots
     finally:
         runtime.shutdown()
+
+
+class RecordingWallClock(WallClock):
+    """A wall clock that notes the name of every thread that reads it."""
+
+    def __init__(self):
+        super().__init__()
+        self.readers = set()
+
+    def now_ms(self):
+        self.readers.add(threading.current_thread().name)
+        return super().now_ms()
+
+
+def test_wall_clock_ticks_run_on_the_loop_thread():
+    clock = RecordingWallClock()
+    source = "RELATION TICKS (N)\nTIMER TM (20) { TICKS(1) }"
+    engine = Engine(parse_program(source), config=EngineConfig(), clock=clock)
+    runtime = EngineRuntime(engine)
+    runtime.start()
+    clock.readers.clear()  # Engine.load read it here, before the loop started
+    threads = set()
+    try:
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and engine.store.size("TICKS") < 3:
+            threads.update(t.name for t in threading.enumerate())
+            time.sleep(0.01)
+        assert engine.store.size("TICKS") >= 3
+    finally:
+        runtime.shutdown()
+    assert clock.readers == {"liot-loop"}
+    assert "liot-loop" in threads and "liot-timers" not in threads
+
+
+class BlockingOutbound:
+    """Holds the loop inside the first webhook until released."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, url, params, timeout_ms):
+        raise AssertionError("no synchronous GET expected")
+
+    def submit_async(self, url, params):
+        self.entered.set()
+        assert self.release.wait(5)
+
+
+def test_a_tick_that_comes_due_while_the_queue_is_full_still_runs(caplog):
+    clock = SettableWallClock(1_000_000)
+    outbound = BlockingOutbound()
+    source = "RELATION R (X)\nRELATION TICKS (N)\nTIMER TM (250) { TICKS(1) }"
+    config = EngineConfig(queue_size=1, webhooks={"R": "http://sink.invalid/"})
+    engine = Engine(parse_program(source), config=config, clock=clock, outbound=outbound)
+    runtime = EngineRuntime(engine)
+    runtime.start()
+    try:
+        runtime.submit_insert("R", (1.0,))
+        assert outbound.entered.wait(5)  # the loop is inside this insert
+        runtime.submit_insert("R", (2.0,))
+        with pytest.raises(QueueFullError):
+            runtime.submit_insert("R", (3.0,))
+        clock.now += 300  # TM is due
+        time.sleep(0.1)
+        outbound.release.set()
+        runtime.wait_idle()
+        assert engine.store.size("R") == 2
+        assert engine.store.size("TICKS") == 1
+    finally:
+        outbound.release.set()
+        runtime.shutdown()
+    assert "dropped" not in caplog.text
 
 
 def test_wall_clock_never_goes_back(monkeypatch):
@@ -183,7 +257,26 @@ def test_events_queued_before_the_failure_are_dropped(tmp_path, monkeypatch):
     runtime.start()
     runtime.wait_idle()
     assert runtime.failure == NO_SPACE
-    assert engine.store.size("R") == 1  # the failed event was applied, no later one
+    assert engine.store.size("R") == 0  # written ahead: the unlogged record was not applied
     with pytest.raises(LoopStoppedError, match="event loop stopped: OSError"):
         runtime.submit_insert("R", (9.0,))
     runtime.shutdown()
+
+
+def test_a_tick_whose_log_write_fails_stops_the_loop(tmp_path, monkeypatch):
+    fail_log_appends(monkeypatch)
+    source = "RELATION TICKS (N)\nTIMER TM (20) { TICKS(1) }"
+    engine = Engine(parse_program(source),
+                    config=EngineConfig(log_path=str(tmp_path / "run.jsonl")))
+    runtime = EngineRuntime(engine)
+    runtime.start()
+    try:
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and runtime.failure is None:
+            time.sleep(0.01)
+        assert runtime.failure == NO_SPACE
+        assert engine.store.size("TICKS") == 0
+        with pytest.raises(LoopStoppedError):
+            runtime.submit_insert("TICKS", (1.0,))
+    finally:
+        runtime.shutdown()

@@ -402,6 +402,42 @@ def test_replay_names_the_malformed_line_and_leaves_the_store(tmp_path, case):
     assert store.snapshot() == before and store.next_seq == 2
 
 
+def test_replay_names_a_line_that_is_not_utf8_and_leaves_the_store(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"rel":"Q","t":1,"seq":1,"v":[5]}\n{"rel":"R","t":1,"seq":2,"v":["\xff",1]}\n')
+    store = make_store()
+    with pytest.raises(ReplayError) as err:
+        replay_log(store, path)
+    assert err.value.line_number == 2
+    assert str(err.value).startswith("log line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+    assert store.snapshot() == make_store().snapshot() and store.next_seq == 1
+
+
+def test_insert_writes_ahead_and_a_failed_write_leaves_the_store(tmp_path):
+    store = make_store()
+    seen = []
+
+    class Log:
+        def append(self, relation, record):
+            seen.append((relation, record, store.size(relation)))
+            if len(seen) == 2:
+                raise OSError(28, "No space left on device")
+
+    record = store.insert("Q", [1], t=5, log=Log())
+    assert seen == [("Q", record, 0)]  # logged before it entered its window
+    with pytest.raises(OSError):
+        store.insert("Q", [2], t=6, log=Log())
+    assert store.read("Q", 10) == [record] and store.next_seq == 2
+    with pytest.raises(ArityError):
+        store.insert("Q", [1, 2], t=7, log=Log())
+    assert len(seen) == 2  # checked before anything was written
+
+
+def test_window_capacity_below_one_is_refused():
+    with pytest.raises(ValueError, match="window capacity must be positive, got 0"):
+        make_store(overrides={"Q": 0})
+
+
 def test_replay_does_not_join_a_split_line(tmp_path):
     # as one JSON array the two lines would parse into two valid objects
     path = tmp_path / "split.jsonl"
