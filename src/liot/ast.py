@@ -200,12 +200,6 @@ class Program:
     mappings: tuple[MapDecl, ...] = ()
     top_level_statements: tuple[Statement, ...] = ()
 
-    def module(self, name: str) -> ModuleDecl | None:
-        for decl in self.modules:
-            if decl.name == name:
-                return decl
-        return None
-
 
 def walk_expression(expr: Expression):
     """Yield every node of an expression tree, preorder."""

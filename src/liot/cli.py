@@ -19,7 +19,7 @@ from .clock import VirtualClock
 from .config import RunConfig, apply_config_pairs, read_config_file
 from .engine import Engine, ExternalInsert, export_firing_log
 from .errors import ConfigError, LiotError, SourceError
-from .gateway import GatewayServer, build_outbound
+from .gateway import AsyncDelivery, GatewayServer, OutboundClient
 from .parser import parse_program
 from .runtime import EngineRuntime
 from .values import Value, parse_query_value, value_to_param
@@ -46,14 +46,8 @@ def cmd_check(path: str) -> int:
 # -- run ------------------------------------------------------------------------
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        apply_config_pairs(config, read_config_file(args.config))
-    if args.port is not None:
-        config.port = args.port
-    if args.host is not None:
-        config.host = args.host
+def _apply_engine_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """--log, --window and --cascade, which run and script share; then validate."""
     if args.log is not None:
         config.log_path = args.log
     if args.window is not None:
@@ -62,6 +56,17 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         config.cascade_limit = args.cascade
     config.validate()
     return config
+
+
+def _build_run_config(args: argparse.Namespace) -> RunConfig:
+    config = RunConfig()
+    if args.config:
+        apply_config_pairs(config, read_config_file(args.config))
+    if args.port is not None:
+        config.port = args.port
+    if args.host is not None:
+        config.host = args.host
+    return _apply_engine_flags(config, args)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -76,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    outbound = build_outbound(config)
+    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
     engine = Engine(program, config=config, outbound=outbound)
     runtime = EngineRuntime(engine)
     try:
@@ -93,9 +98,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         server.stop()
         return 1
-    server.start()
-    print(f"listening on {server.base_url}", file=sys.stderr)
     try:
+        server.start()
+        print(f"listening on {server.base_url}", file=sys.stderr)
         while runtime.failure is None:
             time.sleep(0.2)
     except KeyboardInterrupt:
@@ -103,7 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         server.stop()
         runtime.shutdown()
-        outbound.delivery.close()
+        outbound.close()
     if runtime.failure is not None:
         print(f"error: event loop stopped: {runtime.failure}", file=sys.stderr)
         return 1
@@ -295,8 +300,7 @@ def load_script(path: str | Path) -> list[ScriptAction]:
 
 def run_script(program, actions: list[ScriptAction], config: RunConfig) -> Engine:
     """Deterministic run under the virtual clock; returns the finished engine."""
-    config.inline_async = True
-    outbound = build_outbound(config)
+    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms, inline=True)
     engine = Engine(program, config=config, clock=VirtualClock(0), outbound=outbound)
     engine.load()
     for action in actions:
@@ -315,14 +319,7 @@ def cmd_script(args: argparse.Namespace) -> int:
         source = Path(args.file).read_text(encoding="utf-8")
         program = parse_program(source)
         actions = load_script(args.script)
-        config = RunConfig()
-        if args.log is not None:
-            config.log_path = args.log
-        if args.window is not None:
-            config.window_default = args.window
-        if args.cascade is not None:
-            config.cascade_limit = args.cascade
-        config.validate()
+        config = _apply_engine_flags(RunConfig(), args)
     except SourceError as exc:
         _diag(args.file, exc)
         return 1

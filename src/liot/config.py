@@ -16,7 +16,6 @@ from .errors import ConfigError
 
 DEFAULT_CASCADE_LIMIT = 64
 DEFAULT_CALL_TIMEOUT_MS = 5000
-DEFAULT_BODY_LIMIT = 1024 * 1024
 
 
 @dataclass
@@ -29,8 +28,6 @@ class EngineConfig:
     log_path: str | None = None
     webhooks: dict[str, str] = field(default_factory=dict)
     base_url: str | None = None
-    body_limit: int = DEFAULT_BODY_LIMIT
-    inline_async: bool = False  # deliver ACALLs/webhooks synchronously (tests, scripts)
 
     def validate(self) -> None:
         for label, value in [

@@ -15,7 +15,8 @@ the index.
 
 Rule conditions and statements are compiled into closures once, when the
 engine is built; the names they mention (rules, timers, modules) are looked
-up when they run.
+up when they run, except a module's declared outputs, which are bound when
+the CALL is compiled.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from .store import PersistenceLog, Record, Store, replay_log
 from .values import Value, dump_json, ensure_value, value_to_param
 
 logger = logging.getLogger("liot.engine")
+
+# Bytes a module's reply body may hold; a longer one is a malformed-body error.
+BODY_LIMIT = 1024 * 1024
 
 
 # -- events ---------------------------------------------------------------------
@@ -148,7 +152,8 @@ class CascadeContext:
 
 
 class Outbound(Protocol):
-    """What the engine needs from the HTTP side; the gateway implements it."""
+    """What the engine needs from the HTTP side; ``gateway.AsyncDelivery``
+    implements it."""
 
     def get(self, url: str, params: list[tuple[str, str]], timeout_ms: int) -> tuple[int, bytes]: ...
 
@@ -161,6 +166,11 @@ class _NoOutbound:
 
     def submit_async(self, url, params):
         logger.warning("async GET dropped (no outbound client): %s", url)
+
+
+def _row_params(fields: tuple[str, ...], values: Iterable[Value]) -> list[tuple[str, str]]:
+    """Query parameters of one row, as a forward or a webhook sends it."""
+    return [(f, value_to_param(v)) for f, v in zip(fields, values)]
 
 
 def resolve_target(target: str, base_url: str | None) -> str:
@@ -199,6 +209,8 @@ class Engine:
             window_default=self.config.window_default,
             window_overrides=self.config.window_overrides,
         )
+        self._fields = {r.name: r.fields for r in program.relations}
+        self._module_outputs = {m.name: m.outputs for m in program.modules}
         compile_block = self._compile_block
         self.rule_states: list[RuleState] = [
             RuleState(
@@ -350,7 +362,9 @@ class Engine:
         if isinstance(stmt, ast.Check):
             return partial(self._check_rule, stmt.rule)
         if isinstance(stmt, ast.CallModule):
-            return partial(self._call_module, stmt.name, tuple(map(compile_expr, stmt.args)))
+            outputs = self._module_outputs[stmt.name]
+            args = tuple(map(compile_expr, stmt.args))
+            return partial(self._call_module, stmt.name, outputs, args)
         if isinstance(stmt, ast.AcallModule):
             return partial(self._acall_module, stmt.name, tuple(map(compile_expr, stmt.args)))
         raise AssertionError(f"unhandled statement {stmt!r}")
@@ -378,15 +392,11 @@ class Engine:
         mapping = self._relation_maps.get(relation)
         if mapping is not None:
             self._forward_insert(mapping, relation, values)
-        store = self.store
-        record = store.insert(relation, values, t=self.clock.now_ms(), log=self.persistence)
+        record = self.store.insert(relation, values, t=self.clock.now_ms(), log=self.persistence)
         webhook = self.config.webhooks.get(relation)
         if webhook is not None:
-            decl = store.window(relation).decl
-            params = [("T", str(record.t))] + [
-                (f, value_to_param(v)) for f, v in zip(decl.fields, record.values)
-            ]
-            self.outbound.submit_async(webhook, params)
+            params = _row_params(self._fields[relation], record.values)
+            self.outbound.submit_async(webhook, [("T", str(record.t))] + params)
         trigger = self._trigger_bodies.get(relation)
         if trigger is not None:
             self._event_firings.append(Firing(record.seq, "trigger", relation, record.t))
@@ -422,56 +432,76 @@ class Engine:
 
     # -- outbound HTTP --------------------------------------------------------
 
-    def _forward_insert(self, mapping: ast.MapDecl, relation: str, values: list[Value]) -> None:
-        decl = self.store.window(relation).decl
-        base = resolve_target(mapping.target, self.config.base_url)
-        url = base.rstrip("/") + "/insert"
-        params = [(f, value_to_param(ensure_value(v))) for f, v in zip(decl.fields, values)]
+    def _get(self, url: str, params: list[tuple[str, str]], what: str) -> tuple[int, bytes]:
+        """One synchronous GET; a timeout or a transport failure becomes a
+        ModuleCallError whose message starts with ``what`` and the URL."""
         try:
-            status, _ = self.outbound.get(url, params, self.config.call_timeout_ms)
-        except ModuleCallError:
-            raise
+            return self.outbound.get(url, params, self.config.call_timeout_ms)
         except TimeoutError as exc:
-            raise ModuleCallError("timeout", f"forward to {url} timed out") from exc
+            raise ModuleCallError("timeout", f"{what} {url} timed out") from exc
         except OSError as exc:
-            raise ModuleCallError("transport", f"forward to {url} failed: {exc}") from exc
+            raise ModuleCallError("transport", f"{what} {url} failed: {exc}") from exc
+
+    def _forward_insert(self, mapping: ast.MapDecl, relation: str, values: list[Value]) -> None:
+        url = resolve_target(mapping.target, self.config.base_url).rstrip("/") + "/insert"
+        params = _row_params(self._fields[relation], map(ensure_value, values))
+        status, _ = self._get(url, params, "forward to")
         if not 200 <= status < 300:
             raise ModuleCallError(
                 "http-status", f"forward to {url} returned {status}, record not applied"
             )
 
-    def _call_module(
-        self, name: str, args: tuple[Compiled, ...], scope: Scope, cascade: CascadeContext
-    ) -> None:
-        decl = self.program.module(name)
-        assert decl is not None  # validated at parse time
+    def _module_request(
+        self, name: str, args: tuple[Compiled, ...], scope: Scope
+    ) -> tuple[str, list[tuple[str, str]]]:
+        """URL and ``p1..pn`` parameters of a CALL or ACALL."""
         mapping = self._module_maps.get(name)
         if mapping is None:
             raise ModuleCallError("target", f"module {name} has no mapping")
         values = [arg(self.store, scope) for arg in args]
         url = resolve_target(mapping.target, self.config.base_url)
-        params = [(f"p{i + 1}", value_to_param(v)) for i, v in enumerate(values)]
-        outputs = invoke_module_sync(
-            self.outbound,
-            url,
-            params,
-            decl.outputs,
-            timeout_ms=self.config.call_timeout_ms,
-            body_limit=self.config.body_limit,
-        )
-        for output, value in outputs.items():
-            scope[f"{name}.{output}"] = value
+        return url, [(f"p{i}", value_to_param(v)) for i, v in enumerate(values, 1)]
+
+    def _call_module(
+        self,
+        name: str,
+        outputs: tuple[str, ...],
+        args: tuple[Compiled, ...],
+        scope: Scope,
+        cascade: CascadeContext,
+    ) -> None:
+        """GET the module and bind exactly the declared outputs of its JSON
+        reply into the scope as ``NAME.output``."""
+        url, params = self._module_request(name, args, scope)
+        status, body = self._get(url, params, "module call")
+        if status != 200:
+            raise ModuleCallError("http-status", f"module call {url} returned {status}")
+        if len(body) > BODY_LIMIT:
+            raise ModuleCallError("malformed-body", f"module response exceeds {BODY_LIMIT} bytes")
+        if not outputs:
+            return
+
+        def _reject_constant(text: str):
+            raise ModuleCallError("malformed-body", f"non-finite number {text} in module response")
+
+        try:
+            payload = json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ModuleCallError("malformed-body", f"module response is not JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ModuleCallError("malformed-body", "module response is not a JSON object")
+        for output in outputs:
+            if output not in payload:
+                raise ModuleCallError("missing-output", f"module response lacks output {output!r}")
+            raw = payload[output]
+            if isinstance(raw, (dict, list)):
+                raise ModuleCallError("malformed-body", f"output {output!r} is not a scalar")
+            scope[f"{name}.{output}"] = ensure_value(raw)
 
     def _acall_module(
         self, name: str, args: tuple[Compiled, ...], scope: Scope, cascade: CascadeContext
     ) -> None:
-        mapping = self._module_maps.get(name)
-        if mapping is None:
-            raise ModuleCallError("target", f"module {name} has no mapping")
-        values = [arg(self.store, scope) for arg in args]
-        url = resolve_target(mapping.target, self.config.base_url)
-        params = [(f"p{i + 1}", value_to_param(v)) for i, v in enumerate(values)]
-        self.outbound.submit_async(url, params)
+        self.outbound.submit_async(*self._module_request(name, args, scope))
 
     # -- timers under the virtual clock ------------------------------------------
 
@@ -499,55 +529,6 @@ class Engine:
 
     def advance(self, delta_ms: int) -> None:
         self.advance_to(self.clock.now_ms() + delta_ms)
-
-
-# -- module invocation (shared with the gateway's outbound client) ---------------
-
-
-def invoke_module_sync(
-    outbound: Outbound,
-    url: str,
-    params: list[tuple[str, str]],
-    output_names: tuple[str, ...],
-    timeout_ms: int,
-    body_limit: int,
-) -> dict[str, Value]:
-    """GET the module and extract exactly the declared outputs from its JSON."""
-    try:
-        status, body = outbound.get(url, params, timeout_ms)
-    except ModuleCallError:
-        raise
-    except TimeoutError as exc:
-        raise ModuleCallError("timeout", f"module call {url} timed out") from exc
-    except OSError as exc:
-        raise ModuleCallError("transport", f"module call {url} failed: {exc}") from exc
-    if status != 200:
-        raise ModuleCallError("http-status", f"module call {url} returned {status}")
-    if len(body) > body_limit:
-        raise ModuleCallError("malformed-body", f"module response exceeds {body_limit} bytes")
-    if not output_names:
-        return {}
-
-    def _reject_constant(text: str):
-        raise ModuleCallError("malformed-body", f"non-finite number {text} in module response")
-
-    try:
-        payload = json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
-    except ModuleCallError:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModuleCallError("malformed-body", f"module response is not JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ModuleCallError("malformed-body", "module response is not a JSON object")
-    outputs: dict[str, Value] = {}
-    for name in output_names:
-        if name not in payload:
-            raise ModuleCallError("missing-output", f"module response lacks output {name!r}")
-        raw = payload[name]
-        if isinstance(raw, (dict, list)):
-            raise ModuleCallError("malformed-body", f"output {name!r} is not a scalar")
-        outputs[name] = ensure_value(raw)
-    return outputs
 
 
 # -- the naive twin ---------------------------------------------------------------

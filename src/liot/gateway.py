@@ -18,8 +18,9 @@ import threading
 import urllib.parse
 from functools import cached_property
 from http import HTTPStatus
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
+from .engine import BODY_LIMIT
 from .runtime import EngineRuntime, LoopStoppedError, QueueFullError
 from .store import Record
 from .values import Value, dump_json, parse_query_value, value_to_json
@@ -51,12 +52,9 @@ class OutboundClient:
     ``Host``. Timeouts surface as TimeoutError, every other transport
     failure, a URL that cannot be sent as it is and a reply without a status
     line as ConnectionError, HTTP error statuses as plain results. The body
-    returned is at most ``body_limit + 1`` bytes, so callers can tell an
+    returned is at most ``BODY_LIMIT + 1`` bytes, so callers can tell an
     oversized one.
     """
-
-    def __init__(self, body_limit: int = 1024 * 1024):
-        self.body_limit = body_limit
 
     @cached_property
     def _tls(self) -> ssl.SSLContext:
@@ -80,7 +78,7 @@ class OutboundClient:
         if not host:
             raise ConnectionError(f"cannot send a GET to {full!r}: no host")
         request = b"GET %s HTTP/1.0\r\nHost: %s\r\n\r\n" % (target.encode(), host_port.encode())
-        limit = HEAD_LIMIT + self.body_limit + 1
+        limit = HEAD_LIMIT + BODY_LIMIT + 1
         try:
             sock = socket.create_connection((host, port), timeout_ms / 1000.0)
             try:
@@ -99,12 +97,12 @@ class OutboundClient:
             raise
         except OSError as exc:
             raise ConnectionError(str(exc)) from exc
-        return _parse_reply(reply, self.body_limit)
+        return _parse_reply(reply)
 
 
-def _parse_reply(reply: bytearray, body_limit: int) -> tuple[int, bytes]:
+def _parse_reply(reply: bytearray) -> tuple[int, bytes]:
     """(status, body) of a whole HTTP/1.x reply; the body is cut after
-    ``body_limit + 1`` bytes."""
+    ``BODY_LIMIT + 1`` bytes."""
     head_end = reply.find(b"\r\n\r\n", 0, HEAD_LIMIT)
     status_line = reply[:reply.find(b"\r\n")] if head_end >= 0 else b""
     version, _, rest = status_line.partition(b" ")
@@ -113,20 +111,23 @@ def _parse_reply(reply: bytearray, body_limit: int) -> tuple[int, bytes]:
             or rest[3:4] not in (b"", b" ")):
         raise ConnectionError(f"malformed HTTP reply: {bytes(reply[:80])!r}")
     start = head_end + 4
-    return int(code), bytes(reply[start:start + body_limit + 1])
+    return int(code), bytes(reply[start:start + BODY_LIMIT + 1])
 
 
 class AsyncDelivery:
-    """Background fire-and-forget GETs for ACALL and trigger webhooks.
+    """The engine's ``Outbound``: synchronous GETs for CALL and MAP RELATION
+    forwards, and fire-and-forget GETs for ACALL and trigger webhooks.
 
+    ``get`` calls the client on the caller's thread. For ``submit_async``,
     ``WORKERS`` threads take deliveries from one bounded queue. Each GET
     opens a new connection, so one worker's rate is set by the round trip to
     the receiver; two keep up with a sustained insert rate that one falls
     behind. A delivery is attempted at most once, and deliveries of
     different rows may reach the receiver in either order.
 
-    With ``inline=True`` (scripts, tests) deliveries happen synchronously on
-    the caller's thread, which keeps runs deterministic.
+    With ``inline=True`` (``liot script``, tests) there are no workers:
+    deliveries happen synchronously on the caller's thread, which keeps runs
+    deterministic.
     """
 
     WORKERS = 2
@@ -147,7 +148,10 @@ class AsyncDelivery:
         for worker in self._workers:
             worker.start()
 
-    def submit(self, url: str, params: list[tuple[str, str]]) -> None:
+    def get(self, url: str, params: list[tuple[str, str]], timeout_ms: int) -> tuple[int, bytes]:
+        return self.client.get(url, params, timeout_ms)
+
+    def submit_async(self, url: str, params: list[tuple[str, str]]) -> None:
         if self.inline:
             self._deliver(url, params)
             return
@@ -193,27 +197,6 @@ class AsyncDelivery:
         for worker in self._workers:
             worker.join()
         self._workers = []
-
-
-class GatewayOutbound:
-    """The Outbound implementation handed to the engine."""
-
-    def __init__(self, client: OutboundClient, delivery: AsyncDelivery):
-        self.client = client
-        self.delivery = delivery
-
-    def get(self, url: str, params: list[tuple[str, str]], timeout_ms: int) -> tuple[int, bytes]:
-        return self.client.get(url, params, timeout_ms)
-
-    def submit_async(self, url: str, params: list[tuple[str, str]]) -> None:
-        self.delivery.submit(url, params)
-
-
-def build_outbound(config, inline_async: bool | None = None) -> GatewayOutbound:
-    client = OutboundClient(body_limit=config.body_limit)
-    inline = config.inline_async if inline_async is None else inline_async
-    delivery = AsyncDelivery(client, timeout_ms=config.call_timeout_ms, inline=inline)
-    return GatewayOutbound(client, delivery)
 
 
 # -- inbound -------------------------------------------------------------------
@@ -361,24 +344,27 @@ class _Handler(socketserver.StreamRequestHandler):
             else:
                 self._reply(503, {"ok": False, "error": f"event loop stopped: {failure}"})
         elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "insert":
-            self._handle_ingest(parts[1])
+            self._handle_submit(parts[1], self.relations, "relation", self.runtime.submit_insert)
         elif len(parts) == 3 and parts[0] == "rel" and parts[2] == "read":
             self._handle_read(parts[1])
         elif len(parts) == 2 and parts[0] == "endpoint":
-            self._handle_endpoint(parts[1])
+            self._handle_submit(parts[1], self.endpoints, "endpoint", self.runtime.submit_endpoint)
         else:
             self._fail(404, f"no route for {path}")
 
-    def _handle_ingest(self, relation: str) -> None:
-        fields = self.relations.get(relation)
-        if fields is None:
-            self._fail(404, f"unknown relation {relation}")
+    def _handle_submit(self, name: str, table: dict[str, tuple[str, ...]], noun: str,
+                       submit: Callable[[str, tuple[Value, ...]], int]) -> None:
+        """Queue an insert into relation ``name`` or a call of endpoint
+        ``name``; its query must give each declared field or parameter."""
+        names = table.get(name)
+        if names is None:
+            self._fail(404, f"unknown {noun} {name}")
             return
-        values = self._collect_exact(fields)
+        values = self._collect_exact(names)
         if values is None:
             return
         try:
-            arrival = self.runtime.submit_insert(relation, tuple(values))
+            arrival = submit(name, tuple(values))
         except (QueueFullError, LoopStoppedError) as exc:
             self._fail(503, str(exc))
             return
@@ -401,21 +387,6 @@ class _Handler(socketserver.StreamRequestHandler):
             return
         records = self.runtime.engine.store.read(relation, limit)
         self._reply(200, [render_record(r, fields) for r in records])
-
-    def _handle_endpoint(self, name: str) -> None:
-        params = self.endpoints.get(name)
-        if params is None:
-            self._fail(404, f"unknown endpoint {name}")
-            return
-        args = self._collect_exact(params)
-        if args is None:
-            return
-        try:
-            arrival = self.runtime.submit_endpoint(name, tuple(args))
-        except (QueueFullError, LoopStoppedError) as exc:
-            self._fail(503, str(exc))
-            return
-        self._reply(202, {"queued": True, "seq": arrival})
 
 
 class _Server(socketserver.ThreadingTCPServer):

@@ -10,10 +10,13 @@ import urllib.request
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import pytest
+
 from liot import gateway
 from liot.config import RunConfig
-from liot.engine import Engine
-from liot.gateway import GatewayServer, build_outbound
+from liot.engine import CascadeContext, EndpointCall, Engine, ExternalInsert
+from liot.errors import ModuleCallError
+from liot.gateway import AsyncDelivery, GatewayServer, OutboundClient
 from liot.parser import parse_program
 from liot.runtime import EngineRuntime
 
@@ -29,6 +32,18 @@ def http_get(url: str, timeout: float = 5.0) -> tuple[int, bytes]:
 def get_json(url: str) -> tuple[int, object]:
     status, body = http_get(url)
     return status, json.loads(body)
+
+
+def module_call_error(engine: Engine, event: ExternalInsert | EndpointCall) -> ModuleCallError:
+    """The ModuleCallError that an insert or an endpoint call raises;
+    ``process_event`` would keep only its text, not its ``kind``."""
+    cascade = CascadeContext(engine.config.cascade_limit)
+    with pytest.raises(ModuleCallError) as err:
+        if isinstance(event, ExternalInsert):
+            engine._do_insert(event.relation, list(event.values), cascade)
+        else:
+            engine._run_endpoint(event, cascade)
+    return err.value
 
 
 class StubServer:
@@ -128,7 +143,7 @@ def running_stack(source: str, config: RunConfig | None = None):
     """Full engine + gateway on a free port; yields (runtime, base_url)."""
     config = config or RunConfig()
     program = parse_program(source)
-    outbound = build_outbound(config)
+    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
     engine = Engine(program, config=config, outbound=outbound)
     runtime = EngineRuntime(engine)
     server = GatewayServer(runtime, host="127.0.0.1", port=0)
@@ -141,4 +156,4 @@ def running_stack(source: str, config: RunConfig | None = None):
     finally:
         server.stop()
         runtime.shutdown()
-        outbound.delivery.close()
+        outbound.close()

@@ -363,7 +363,7 @@ def test_check_script_and_run_do_not_import_the_http_stack(tmp_path):
         process.kill()
         process.wait()
         process.stderr.close()
-    assert process.returncode == 0
+    assert process.returncode == 0, stderr
     assert heavy_imports(stderr) == []
 
 

@@ -18,6 +18,8 @@ from liot.errors import ModuleCallError
 from liot.parser import parse_program
 from liot.values import dump_json
 
+from .helpers import module_call_error
+
 
 class FakeOutbound:
     """Scripted outbound transport: records every request."""
@@ -462,6 +464,25 @@ ENDPOINT E () { CALL M () }
         engine = make_engine(src, outbound=outbound)
         result = engine.process_event(EndpointCall("E", ()))
         assert result.error is not None and fragment in result.error
+
+
+@pytest.mark.parametrize("src, event, what, url", [
+    ("RELATION R (X)\nMAP RELATION R : http://backend.example/r",
+     ExternalInsert("R", (5.0,)), "forward to", "http://backend.example/r/insert"),
+    ("MODULE M (v)\nMAP MODULE M : http://mod.example/m\nENDPOINT E () { CALL M () }",
+     EndpointCall("E", ()), "module call", "http://mod.example/m"),
+], ids=["forward", "call"])
+@pytest.mark.parametrize("failure, kind, tail", [
+    (TimeoutError("deadline"), "timeout", "timed out"),
+    (OSError("no route"), "transport", "failed: no route"),
+], ids=["timeout", "oserror"])
+def test_get_failures_map_to_module_call_errors(src, event, what, url, failure, kind, tail):
+    engine = make_engine(src, outbound=FakeOutbound({url: failure}))
+    message = f"{what} {url} {tail}"
+    assert engine.process_event(event).error == f"ModuleCallError: {message}"
+    err = module_call_error(engine, event)
+    assert (err.kind, str(err)) == (kind, message)
+    assert isinstance(err.__cause__, type(failure))
 
 
 def test_acall_is_fire_and_forget():

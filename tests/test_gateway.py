@@ -19,14 +19,15 @@ import pytest
 
 from liot import gateway
 from liot.config import RunConfig
-from liot.engine import EndpointCall, Engine, invoke_module_sync
-from liot.errors import ModuleCallError
-from liot.gateway import AsyncDelivery, GatewayServer, OutboundClient, build_outbound
+from liot.engine import BODY_LIMIT, EndpointCall, Engine
+from liot.gateway import AsyncDelivery, GatewayServer, OutboundClient
 from liot.parser import parse_program
 from liot.runtime import EngineRuntime
 from liot.values import parse_query_value
 
-from .helpers import get_json, http_get, record_wire, running_stack, stub_server
+from .helpers import (
+    get_json, http_get, module_call_error, record_wire, running_stack, stub_server,
+)
 
 PROGRAM = """
 RELATION R (MAC, RSSI)
@@ -591,7 +592,7 @@ def test_two_delivery_workers_deliver_every_row_and_close_drains():
         delivery = AsyncDelivery(OutboundClient(), timeout_ms=5000)
         assert sum(w.is_alive() for w in delivery._workers) == AsyncDelivery.WORKERS == 2
         for i in range(rows):
-            delivery.submit(f"{stub.url}/hook", [("N", str(i))])
+            delivery.submit_async(f"{stub.url}/hook", [("N", str(i))])
         delivery.close()
         # close() returns only once every queued row has been delivered
         assert stub.request_count("/hook") == rows
@@ -618,7 +619,7 @@ def test_delivery_counters_lose_no_update_between_workers():
         client = CountingClient()
         delivery = AsyncDelivery(client, timeout_ms=1000, capacity=rows)
         for i in range(rows):
-            delivery.submit("http://unused/", [("N", "fail" if i % 3 == 0 else str(i))])
+            delivery.submit_async("http://unused/", [("N", "fail" if i % 3 == 0 else str(i))])
         closer = threading.Thread(target=delivery.close)
         closer.start()
         closer.join(timeout=30)
@@ -724,23 +725,33 @@ def test_outbound_returns_a_redirect_instead_of_following_it(no_unclosed_sockets
     assert [request_target(h) for h in heads] == [b"/old"]
 
 
+def call_engine(base_url: str) -> Engine:
+    """A loaded engine whose endpoint E CALLs module M (no outputs) at
+    ``base_url``/m with the real client, delivering inline."""
+    source = "MODULE M ()\nMAP MODULE M : m\nENDPOINT E () { CALL M () }"
+    config = RunConfig(base_url=base_url)
+    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms, inline=True)
+    engine = Engine(parse_program(source), config=config, outbound=outbound)
+    engine.load()
+    return engine
+
+
 def test_outbound_body_limit(no_unclosed_sockets):
-    limit = 10
-    for body, accepted in [(b"x" * limit, True), (b"x" * (limit + 1), False)]:
-        with raw_stub(b"HTTP/1.0 200 OK\r\n\r\n" + body) as (base, _):
-            client = OutboundClient(body_limit=limit)
-            if accepted:
-                assert invoke_module_sync(client, base, [], (), 5000, limit) == {}
-            else:
-                with pytest.raises(ModuleCallError) as err:
-                    invoke_module_sync(client, base, [], (), 5000, limit)
-                assert err.value.kind == "malformed-body"
+    message = f"module response exceeds {BODY_LIMIT} bytes"
+    for size, error in [(BODY_LIMIT, None), (BODY_LIMIT + 1, f"ModuleCallError: {message}")]:
+        reply = b"HTTP/1.0 200 OK\r\n\r\n" + b"x" * size
+        with raw_stub(reply, connections=1 if error is None else 2) as (base, _):
+            engine = call_engine(base)
+            assert engine.process_event(EndpointCall("E", ())).error == error
+            if error is not None:
+                err = module_call_error(engine, EndpointCall("E", ()))
+                assert (err.kind, str(err)) == ("malformed-body", message)
 
 
 def test_outbound_reads_at_most_body_limit_plus_one_bytes(no_unclosed_sockets):
-    with raw_stub(b"HTTP/1.0 200 OK\r\n\r\n" + b"y" * 100_000) as (base, _):
-        status, body = OutboundClient(body_limit=1000).get(base, [], 5000)
-    assert (status, body) == (200, b"y" * 1001)
+    with raw_stub(b"HTTP/1.0 200 OK\r\n\r\n" + b"y" * (BODY_LIMIT + 100_000)) as (base, _):
+        status, body = OutboundClient().get(base, [], 5000)
+    assert (status, body) == (200, b"y" * (BODY_LIMIT + 1))
 
 
 @pytest.mark.parametrize("reply", [
@@ -810,7 +821,7 @@ BAD_URL = "http://127.0.0.1:9/a b"
 def test_unsendable_webhook_is_counted_and_logged(caplog, no_unclosed_sockets):
     delivery = AsyncDelivery(OutboundClient(), 500)
     with caplog.at_level(logging.WARNING, logger="liot.gateway"):
-        delivery.submit(BAD_URL, [("N", "1")])
+        delivery.submit_async(BAD_URL, [("N", "1")])
         delivery.close()
     assert (delivery.delivered, delivery.failed) == (0, 1)
     assert any(r.getMessage().startswith(f"async GET {BAD_URL} failed") for r in caplog.records)
@@ -820,26 +831,20 @@ def test_unsendable_webhooks_leave_the_workers_alive(no_unclosed_sockets):
     with stub_server() as stub:
         delivery = AsyncDelivery(OutboundClient(), 500)
         for _ in range(AsyncDelivery.WORKERS):
-            delivery.submit(BAD_URL, [])
+            delivery.submit_async(BAD_URL, [])
         deadline = time.monotonic() + 10
         while delivery.failed < AsyncDelivery.WORKERS and time.monotonic() < deadline:
             time.sleep(0.01)
         assert delivery.failed == AsyncDelivery.WORKERS
         assert all(w.is_alive() for w in delivery._workers)
-        delivery.submit(f"{stub.url}/hook", [("N", "1")])
+        delivery.submit_async(f"{stub.url}/hook", [("N", "1")])
         delivery.close()
         assert stub.request_count("/hook") == 1
     assert (delivery.delivered, delivery.failed) == (1, AsyncDelivery.WORKERS)
 
 
 def test_call_to_an_unsendable_url_is_a_transport_error(no_unclosed_sockets):
-    with pytest.raises(ModuleCallError) as err:
-        invoke_module_sync(OutboundClient(), BAD_URL, [], ("v",), 500, 1024)
-    assert err.value.kind == "transport"
-    source = "MODULE M (v)\nMAP MODULE M : m\nENDPOINT E () { CALL M () }"
-    config = RunConfig(base_url="http://127.0.0.1:9/a b")
-    engine = Engine(parse_program(source), config=config,
-                    outbound=build_outbound(config, inline_async=True))
-    engine.load()
+    engine = call_engine(BAD_URL)
     result = engine.process_event(EndpointCall("E", ()))
-    assert result.error.startswith("ModuleCallError: module call http://127.0.0.1:9/a b/m failed")
+    assert result.error.startswith(f"ModuleCallError: module call {BAD_URL}/m failed")
+    assert module_call_error(engine, EndpointCall("E", ())).kind == "transport"
