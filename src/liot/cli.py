@@ -284,8 +284,10 @@ def load_script(path: str | Path) -> list[ScriptAction]:
         last_at = at
         if "insert" in entry:
             spec = entry["insert"]
-            if not isinstance(spec, dict) or "rel" not in spec or "v" not in spec:
-                raise ConfigError(f"{path}:{line_number}: insert needs \"rel\" and \"v\"")
+            if (not isinstance(spec, dict) or type(spec.get("rel")) is not str
+                    or type(spec.get("v")) is not list):
+                raise ConfigError(f"{path}:{line_number}: insert needs a string \"rel\" "
+                                  "and an array \"v\" of values")
             actions.append(ScriptAction(at=at, insert=(spec["rel"], tuple(spec["v"]))))
         elif "advance" in entry:
             delta = entry["advance"]

@@ -1,10 +1,11 @@
 """The serialized rule engine.
 
 One engine owns all mutable state and processes events strictly in arrival
-order, each to completion. An insert flows through: remote forward (for mapped
-relations), store append, persistence, webhook, the relation's trigger body,
-and finally every rule whose condition mentions the relation, in declaration
-order. Statement-driven inserts nest; the cascade depth limit guarantees every
+order, each to completion. An insert flows through: row check (external
+inserts only), remote forward (for mapped relations), persistence, store
+append, webhook, the relation's trigger body, and finally every rule whose
+condition mentions the relation, in declaration order. Statement-driven
+inserts and CHECKs nest; the per-event cascade depth limit guarantees every
 event terminates.
 
 Rule matching uses an alpha-layer dependency index (relation name -> rules in
@@ -13,10 +14,10 @@ identical machinery without the index, re-evaluating every active rule after
 every insert; equality of the two firing logs is the correctness contract for
 the index.
 
-Rule conditions and statements are compiled into closures once, when the
-engine is built; the names they mention (rules, timers, modules) are looked
-up when they run, except a module's declared outputs, which are bound when
-the CALL is compiled.
+The engine resolves the program it is given (so one built as a syntax tree
+is checked too), then compiles rule conditions and statements into closures;
+the names they mention (rules, timers, modules) are looked up when they run,
+except a module's declared outputs, which are bound when the CALL is compiled.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     UnknownNameError,
 )
 from .evaluator import Compiled, Scope, compile_expr, eval_condition
+from .parser import resolve_program
 from .store import PersistenceLog, Record, Store, replay_log
 from .values import Value, dump_json, ensure_value, value_to_param
 
@@ -105,8 +107,8 @@ class EventResult:
 
 # -- engine-side state ------------------------------------------------------------
 
-# A compiled statement: step(scope, cascade).
-Step = Callable[[Scope, "CascadeContext"], None]
+# A compiled statement: step(scope).
+Step = Callable[[Scope], None]
 
 
 @dataclass
@@ -125,30 +127,6 @@ class TimerState:
     body: tuple[Step, ...]
     running: bool = True
     next_fire: int = 0
-
-
-class CascadeContext:
-    """Counts propagation nesting within one event.
-
-    Statement-driven inserts and CHECKs both enter the cascade; either can
-    recurse (a trigger re-inserting into its own relation, a rule body
-    checking itself), and the depth limit is what guarantees every event
-    terminates.
-    """
-
-    def __init__(self, limit: int):
-        self.depth = 0
-        self.limit = limit
-
-    def enter(self, what: str) -> None:
-        self.depth += 1
-        if self.depth > self.limit:
-            raise CascadeLimitError(
-                f"{what} cascade exceeded depth {self.limit}; aborting event"
-            )
-
-    def exit(self) -> None:
-        self.depth -= 1
 
 
 class Outbound(Protocol):
@@ -195,6 +173,7 @@ class Engine:
         clock: Clock | None = None,
         outbound: Outbound | None = None,
     ):
+        program = resolve_program(program)
         for name in [r.name for r in program.relations] + [r.name for r in program.rules]:
             if dump_json(name) != f'"{name}"':  # see _FIRING_JSON
                 raise ValueError(f"name {name!r} would need escaping in the firing log")
@@ -252,6 +231,7 @@ class Engine:
         self.firing_log: list[Firing] | deque[Firing] = []
         self.event_errors: list[str] | deque[str] = []
         self._event_firings: list[Firing] = []  # the running event's, in order
+        self._cascade_depth = 0  # the running event's nesting of inserts and CHECKs
         self.condition_evaluations = 0
         self.persistence: PersistenceLog | None = None
         self.replayed_records = 0
@@ -277,10 +257,10 @@ class Engine:
         # restored: replaying state and re-running the init would double it
         if self.replayed_records == 0 and self._top_level:
             firings = self._event_firings = []
-            cascade = CascadeContext(self.config.cascade_limit)
+            self._cascade_depth = 0
             try:
                 for step in self._top_level:
-                    step({}, cascade)
+                    step({})
             except EngineRuntimeError as exc:
                 self._log_event_error(f"top-level statement failed: {exc}")
             finally:
@@ -296,15 +276,15 @@ class Engine:
         if not self.loaded:
             raise RuntimeError("engine not loaded")
         firings = self._event_firings = []
+        self._cascade_depth = 0
         error: str | None = None
-        cascade = CascadeContext(self.config.cascade_limit)
         try:
             if isinstance(event, ExternalInsert):
-                self._do_insert(event.relation, list(event.values), cascade)
+                self._do_insert(event.relation, self.store.check(event.relation, event.values))
             elif isinstance(event, EndpointCall):
-                self._run_endpoint(event, cascade)
+                self._run_endpoint(event)
             elif isinstance(event, TimerTick):
-                self._run_timer(event.name, cascade)
+                self._run_timer(event.name)
             else:
                 raise AssertionError(f"unhandled event {event!r}")
         except EngineRuntimeError as exc:
@@ -318,7 +298,7 @@ class Engine:
         self.event_errors.append(message)
         logger.error("%s", message)
 
-    def _run_endpoint(self, event: EndpointCall, cascade: CascadeContext) -> None:
+    def _run_endpoint(self, event: EndpointCall) -> None:
         endpoint = self._endpoints_by_name.get(event.name)
         if endpoint is None:
             raise UnknownNameError(f"unknown endpoint {event.name}")
@@ -329,19 +309,28 @@ class Engine:
                 f"got {len(event.args)}"
             )
         scope: Scope = {p: ensure_value(v) for p, v in zip(params, event.args)}
-        self._run_block(body, scope, cascade)
+        self._run_block(body, scope)
 
-    def _run_timer(self, name: str, cascade: CascadeContext) -> None:
+    def _run_timer(self, name: str) -> None:
         ts = self.timer_states.get(name)
         if ts is None:
             raise UnknownNameError(f"unknown timer {name}")
         if not ts.running:
             return  # a tick of a stopped timer does nothing
-        self._run_block(ts.body, {}, cascade)
+        self._run_block(ts.body, {})
 
-    def _run_block(self, body: tuple[Step, ...], scope: Scope, cascade: CascadeContext) -> None:
+    def _run_block(self, body: tuple[Step, ...], scope: Scope) -> None:
         for step in body:
-            step(scope, cascade)
+            step(scope)
+
+    def _enter_cascade(self, what: str) -> None:
+        """One level deeper; a raise ends the event, so callers step back up
+        only on a normal return."""
+        self._cascade_depth += 1
+        if self._cascade_depth > self.config.cascade_limit:
+            raise CascadeLimitError(
+                f"{what} cascade exceeded depth {self.config.cascade_limit}; aborting event"
+            )
 
     # -- statements ---------------------------------------------------------
 
@@ -369,26 +358,22 @@ class Engine:
             return partial(self._acall_module, stmt.name, tuple(map(compile_expr, stmt.args)))
         raise AssertionError(f"unhandled statement {stmt!r}")
 
-    def _insert(
-        self, relation: str, args: tuple[Compiled, ...], scope: Scope, cascade: CascadeContext
-    ) -> None:
-        values = [arg(self.store, scope) for arg in args]
-        cascade.enter("insert")
-        try:
-            self._do_insert(relation, values, cascade)
-        finally:
-            cascade.exit()
+    def _insert(self, relation: str, args: tuple[Compiled, ...], scope: Scope) -> None:
+        values = tuple([arg(self.store, scope) for arg in args])
+        self._enter_cascade("insert")
+        self._do_insert(relation, values)
+        self._cascade_depth -= 1
 
-    def _set_running(self, name: str, running: bool, scope: Scope, cascade: CascadeContext) -> None:
+    def _set_running(self, name: str, running: bool, scope: Scope) -> None:
         ts = self.timer_states[name]
         ts.running = running
         if running:
             ts.next_fire = self.clock.now_ms() + ts.decl.interval_ms
 
-    def _set_active(self, name: str, active: bool, scope: Scope, cascade: CascadeContext) -> None:
+    def _set_active(self, name: str, active: bool, scope: Scope) -> None:
         self._rules_by_name[name].active = active
 
-    def _do_insert(self, relation: str, values: list[Value], cascade: CascadeContext) -> Record:
+    def _do_insert(self, relation: str, values: tuple[Value, ...]) -> Record:
         mapping = self._relation_maps.get(relation)
         if mapping is not None:
             self._forward_insert(mapping, relation, values)
@@ -400,23 +385,23 @@ class Engine:
         trigger = self._trigger_bodies.get(relation)
         if trigger is not None:
             self._event_firings.append(Firing(record.seq, "trigger", relation, record.t))
-            self._run_block(trigger, {}, cascade)
-        self._run_rules(relation, record, cascade)
+            self._run_block(trigger, {})
+        self._run_rules(relation, record)
         return record
 
-    def _run_rules(self, relation: str, record: Record, cascade: CascadeContext) -> None:
+    def _run_rules(self, relation: str, record: Record) -> None:
         for rs in self.dependency_index.get(relation, ()):
             if not rs.active:
                 continue
             self.condition_evaluations += 1
             if eval_condition(rs.condition, self.store, {}) is True:
-                self._fire_rule(rs, record.seq, record.t, cascade)
+                self._fire_rule(rs, record.seq, record.t)
 
-    def _fire_rule(self, rs: RuleState, seq: int, t: int, cascade: CascadeContext) -> None:
+    def _fire_rule(self, rs: RuleState, seq: int, t: int) -> None:
         self._event_firings.append(Firing(seq, "rule", rs.decl.name, t))
-        self._run_block(rs.body, {}, cascade)
+        self._run_block(rs.body, {})
 
-    def _check_rule(self, name: str, scope: Scope, cascade: CascadeContext) -> None:
+    def _check_rule(self, name: str, scope: Scope) -> None:
         """CHECK is an explicit command: it ignores the active flag."""
         rs = self._rules_by_name[name]
         self.condition_evaluations += 1
@@ -424,11 +409,9 @@ class Engine:
         if outcome is True:
             seq = self.store.next_seq - 1  # latest record overall, 0 if none
             self._event_firings.append(Firing(seq, "rule", name, self.clock.now_ms()))
-            cascade.enter("check")
-            try:
-                self._run_block(rs.body, {}, cascade)
-            finally:
-                cascade.exit()
+            self._enter_cascade("check")
+            self._run_block(rs.body, {})
+            self._cascade_depth -= 1
 
     # -- outbound HTTP --------------------------------------------------------
 
@@ -442,9 +425,9 @@ class Engine:
         except OSError as exc:
             raise ModuleCallError("transport", f"{what} {url} failed: {exc}") from exc
 
-    def _forward_insert(self, mapping: ast.MapDecl, relation: str, values: list[Value]) -> None:
+    def _forward_insert(self, mapping: ast.MapDecl, relation: str, values: tuple[Value, ...]) -> None:
         url = resolve_target(mapping.target, self.config.base_url).rstrip("/") + "/insert"
-        params = _row_params(self._fields[relation], map(ensure_value, values))
+        params = _row_params(self._fields[relation], values)
         status, _ = self._get(url, params, "forward to")
         if not 200 <= status < 300:
             raise ModuleCallError(
@@ -468,7 +451,6 @@ class Engine:
         outputs: tuple[str, ...],
         args: tuple[Compiled, ...],
         scope: Scope,
-        cascade: CascadeContext,
     ) -> None:
         """GET the module and bind exactly the declared outputs of its JSON
         reply into the scope as ``NAME.output``."""
@@ -498,9 +480,7 @@ class Engine:
                 raise ModuleCallError("malformed-body", f"output {output!r} is not a scalar")
             scope[f"{name}.{output}"] = ensure_value(raw)
 
-    def _acall_module(
-        self, name: str, args: tuple[Compiled, ...], scope: Scope, cascade: CascadeContext
-    ) -> None:
+    def _acall_module(self, name: str, args: tuple[Compiled, ...], scope: Scope) -> None:
         self.outbound.submit_async(*self._module_request(name, args, scope))
 
     # -- timers under the virtual clock ------------------------------------------
@@ -540,14 +520,14 @@ class NaiveEngine(Engine):
     its condition mentions; evaluations of unrelated rules are advisory, so
     errors they raise cannot abort the event either."""
 
-    def _run_rules(self, relation: str, record: Record, cascade: CascadeContext) -> None:
+    def _run_rules(self, relation: str, record: Record) -> None:
         for rs in self.rule_states:
             if not rs.active:
                 continue
             self.condition_evaluations += 1
             if not rs.depends_on or relation in rs.depends_on:
                 if eval_condition(rs.condition, self.store, {}) is True:
-                    self._fire_rule(rs, record.seq, record.t, cascade)
+                    self._fire_rule(rs, record.seq, record.t)
             else:
                 try:
                     eval_condition(rs.condition, self.store, {})

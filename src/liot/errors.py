@@ -52,10 +52,6 @@ class UnknownRelationError(EngineRuntimeError):
     pass
 
 
-class UnknownFieldError(EngineRuntimeError):
-    pass
-
-
 class UnknownNameError(EngineRuntimeError):
     """A scope reference that no binding satisfies at run time."""
 

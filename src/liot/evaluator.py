@@ -9,9 +9,10 @@ other binary operator evaluates both operands before checking their types.
 
 An expression is compiled once into a closure ``fn(store, scope)``; the
 engine compiles every rule condition and statement argument when a program
-is loaded, so no event walks a syntax tree. ``eval_expr`` and
-``eval_condition`` also accept a syntax tree and compile it on the spot.
-Field reads go through ``Store.latest``.
+is loaded, so no event walks a syntax tree. Field reads go through
+``Store.latest``. The resolver checked every field reference and literal when
+the engine was built; only what depends on the data (history, types, scope
+names, arithmetic) is checked on each evaluation.
 """
 
 from __future__ import annotations
@@ -156,22 +157,14 @@ def _compile_binary(op: str, left: Compiled, right: Compiled) -> Compiled:
     raise AssertionError(f"unhandled operator {op!r}")
 
 
-def eval_expr(expr: ast.Expression, store: Store, scope: Scope) -> Value:
-    return compile_expr(expr)(store, scope)
-
-
-def eval_condition(
-    condition: ast.Expression | Compiled, store: Store, scope: Scope
-) -> bool | _Unavailable:
+def eval_condition(condition: Compiled, store: Store, scope: Scope) -> bool | _Unavailable:
     """Rule-condition evaluation: missing history suppresses the rule.
 
-    ``condition`` is a syntax tree or what ``compile_expr`` made of one.
-    Returns True, False, or UNAVAILABLE. Type errors still raise; only the
+    ``condition`` is what ``compile_expr`` made of a syntax tree. Returns
+    True, False, or UNAVAILABLE. Type errors still raise; only the
     window-not-filled-yet case is silenced, so a freshly started program does
     not fail before its sensors have reported.
     """
-    if not callable(condition):
-        condition = compile_expr(condition)
     try:
         result = condition(store, scope)
     except HistoryUnavailableError:
@@ -179,4 +172,3 @@ def eval_condition(
     if result is True or result is False:
         return result
     raise EvalTypeError(f"condition evaluated to {type_name(result)}, not boolean")
-

@@ -7,10 +7,12 @@ between items and between statements inside a block.
 Parsing happens in two passes: a purely syntactic pass builds the tree, then a
 resolution pass checks every name against the declaration tables and rewrites
 dotted references that do not name a relation (``COUNTER.count``) into scope
-references.
+references. ``Engine`` resolves its program too, for one built as a tree.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 from . import ast
 from .errors import ParseError, SemanticError
@@ -489,7 +491,10 @@ class _Resolver:
 
     # expressions in statement-argument position may reach into scope
     def resolve_arg(self, expr: ast.Expression, pos: ast.Pos) -> ast.Expression:
-        if isinstance(expr, ast.Literal) or isinstance(expr, ast.ScopeRef):
+        if isinstance(expr, ast.Literal):
+            self.check_literal(expr, pos)
+            return expr
+        if isinstance(expr, ast.ScopeRef):
             return expr
         if isinstance(expr, ast.FieldRef):
             if expr.relation in self.relations:
@@ -505,6 +510,15 @@ class _Resolver:
         decl = self.relations[ref.relation]
         if ref.field != "T" and ref.field not in decl.fields:
             self.fail(f"relation {ref.relation} has no field {ref.field}", pos)
+        if type(ref.offset) is not int or ref.offset > 0:
+            self.fail(f"history offset of {ref.relation}.{ref.field} must be a non-positive "
+                      f"integer, got {ref.offset!r}", pos)
+
+    def check_literal(self, literal: ast.Literal, pos: ast.Pos) -> None:
+        value = literal.value
+        if not (value is None or type(value) in (str, bool)
+                or type(value) is float and isfinite(value)):
+            self.fail(f"literal {value!r} is not a text, a finite number, a boolean or null", pos)
 
     def resolve_condition(self, expr: ast.Expression, rule: ast.RuleDecl) -> ast.Expression:
         for node in ast.walk_expression(expr):
@@ -515,6 +529,8 @@ class _Resolver:
                         rule.pos,
                     )
                 self.check_field(node, rule.pos)
+            elif isinstance(node, ast.Literal):
+                self.check_literal(node, rule.pos)
             elif isinstance(node, ast.ScopeRef):
                 self.fail(
                     f"rule {rule.name}: unknown name {node.name} in condition (rules have no scope)",
@@ -567,8 +583,11 @@ class _Resolver:
 
 def parse_program(source: str) -> ast.Program:
     """Parse and validate source text into a Program."""
-    parser = _Parser(tokenize(source))
-    program = parser.parse_program()
+    return resolve_program(_Parser(tokenize(source)).parse_program())
+
+
+def resolve_program(program: ast.Program) -> ast.Program:
+    """The resolution pass alone; a resolved program resolves to an equal one."""
     return _Resolver(program).run()
 
 

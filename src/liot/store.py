@@ -9,6 +9,10 @@ reaching past the window is an error rather than a silent null.
 Writes go ahead to the log: ``Store.insert`` appends a record to its
 persistence log before the record enters its window, so a record that could
 not be logged is never seen.
+
+``insert`` and ``latest`` trust their arguments: the engine runs ``check`` on
+each insert from outside, and the resolver proved every statement's row and
+every field read. Only the history a read reaches for is checked each time.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .errors import (
     HistoryUnavailableError,
     LiotError,
     ReplayError,
-    UnknownFieldError,
     UnknownRelationError,
 )
 from .values import Value, dump_json, ensure_value, value_from_json, value_to_json
@@ -94,24 +97,30 @@ class Store:
         except KeyError:
             raise UnknownRelationError(f"unknown relation {relation}") from None
 
+    def check(self, relation: str, values: Iterable[object]) -> tuple[Value, ...]:
+        """An outside row as ``insert`` takes it: a known relation, one scalar
+        per field, each normalized by ``ensure_value``."""
+        window = self.window(relation)
+        checked = tuple(map(ensure_value, values))
+        if len(checked) != len(window.decl.fields):
+            raise _arity_error(relation, len(window.decl.fields), len(checked))
+        return checked
+
     def insert(
         self,
         relation: str,
-        values: Iterable[object],
+        values: tuple[Value, ...],
         t: int,
         seq: int | None = None,
         log: PersistenceLog | None = None,
     ) -> Record:
-        """Check and append one record; with a ``log``, the record is written
-        there first, and the store is unchanged when that write raises."""
-        window = self.window(relation)
-        normalized = tuple(map(ensure_value, values))
-        if len(normalized) != len(window.decl.fields):
-            raise _arity_error(relation, len(window.decl.fields), len(normalized))
+        """Append one record of checked values; with a ``log``, the record is
+        written there first, and the store is unchanged when that write raises."""
+        window = self.windows[relation]
         next_seq = self.next_seq  # only the writing thread changes it
         if seq is None:
             seq = next_seq
-        record = Record(t, seq, normalized)
+        record = Record(t, seq, values)
         if log is not None:
             log.append(relation, record)
         with self.lock:
@@ -123,11 +132,7 @@ class Store:
         """Field of the newest record (offset 0) or of the k-th previous one
         (offset -k). ``T`` reads the timestamp as a number. It takes no lock,
         so only the writing thread may call it on a live store."""
-        window = self.windows.get(relation)
-        if window is None:
-            raise UnknownRelationError(f"unknown relation {relation}")
-        if offset > 0:
-            raise HistoryUnavailableError(f"offset must be non-positive, got {offset}")
+        window = self.windows[relation]
         try:
             record = window.records[offset - 1]
         except IndexError:
@@ -137,10 +142,7 @@ class Store:
             ) from None
         if field == "T":
             return float(record.t)
-        try:
-            return record.values[window.positions[field]]
-        except KeyError:
-            raise UnknownFieldError(f"relation {relation} has no field {field}") from None
+        return record.values[window.positions[field]]
 
     def read(self, relation: str, limit: int) -> list[Record]:
         """Newest-first prefix of the window, at most ``limit`` records."""

@@ -14,7 +14,7 @@ import pytest
 
 from liot import gateway
 from liot.config import RunConfig
-from liot.engine import CascadeContext, EndpointCall, Engine, ExternalInsert
+from liot.engine import EndpointCall, Engine, ExternalInsert
 from liot.errors import ModuleCallError
 from liot.gateway import AsyncDelivery, GatewayServer, OutboundClient
 from liot.parser import parse_program
@@ -37,12 +37,11 @@ def get_json(url: str) -> tuple[int, object]:
 def module_call_error(engine: Engine, event: ExternalInsert | EndpointCall) -> ModuleCallError:
     """The ModuleCallError that an insert or an endpoint call raises;
     ``process_event`` would keep only its text, not its ``kind``."""
-    cascade = CascadeContext(engine.config.cascade_limit)
     with pytest.raises(ModuleCallError) as err:
         if isinstance(event, ExternalInsert):
-            engine._do_insert(event.relation, list(event.values), cascade)
+            engine._do_insert(event.relation, engine.store.check(event.relation, event.values))
         else:
-            engine._run_endpoint(event, cascade)
+            engine._run_endpoint(event)
     return err.value
 
 

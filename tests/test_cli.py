@@ -378,6 +378,23 @@ def test_script_rejects_bad_actions(tmp_path):
     assert main(["script", program, decreasing]) == 1
 
 
+@pytest.mark.parametrize("insert", [
+    {"rel": "R", "v": "ab"},
+    {"rel": "R", "v": {"a": 1, "b": 2}},
+    {"rel": "R", "v": 5},
+    {"rel": ["R"], "v": ["aa", -70]},
+], ids=["v text", "v object", "v number", "rel array"])
+def test_script_refuses_an_insert_whose_rel_or_v_has_the_wrong_type(tmp_path, capsys, insert):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    script = write(tmp_path, "s.jsonl", script_lines({"at": 0, "advance": 1},
+                                                      {"at": 1, "insert": insert}))
+    assert main(["script", program, script]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f'error: {script}:2: insert needs a string "rel" '
+                            'and an array "v" of values\n')
+
+
 def test_script_rejects_at_inside_a_preceding_advance(tmp_path, capsys):
     # the advance left the clock at 1000; going back to 500 is refused with
     # the line number instead of failing inside the engine

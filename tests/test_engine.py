@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from liot import ast
@@ -14,7 +16,7 @@ from liot.engine import (
     naive_oracle,
     resolve_target,
 )
-from liot.errors import ModuleCallError
+from liot.errors import ModuleCallError, SemanticError
 from liot.parser import parse_program
 from liot.values import dump_json
 
@@ -529,6 +531,24 @@ def test_mapped_relation_forward_failure_keeps_record_out():
     assert engine.store.size("R") == 0
 
 
+@pytest.mark.parametrize("values, error", [
+    ((5.0,), "ArityError: relation R takes 2 values, got 1"),
+    ((5.0, 1.0, 2.0), "ArityError: relation R takes 2 values, got 3"),
+    ((5.0, math.nan), "ScalarError: non-finite number rejected: nan"),
+], ids=["short row", "long row", "NaN"])
+def test_a_refused_row_of_a_mapped_relation_is_neither_forwarded_nor_logged(
+        tmp_path, values, error):
+    src = "RELATION R (X, Y)\nMAP RELATION R : http://b.example/r"
+    outbound = FakeOutbound()
+    log = tmp_path / "run.jsonl"
+    engine = make_engine(src, config=EngineConfig(log_path=str(log)), outbound=outbound)
+    result = engine.process_event(ExternalInsert("R", values))
+    engine.close()
+    assert result.error == error
+    assert outbound.sync_calls == []
+    assert engine.store.size("R") == 0 and log.read_text() == ""
+
+
 def test_resolve_target():
     assert resolve_target("http://a/b", None) == "http://a/b"
     assert resolve_target("module1.jsp", "http://base:9") == "http://base:9/module1.jsp"
@@ -563,6 +583,57 @@ def test_engine_refuses_names_json_would_escape():
     program = ast.Program(relations=(ast.RelationDecl('R"1', ("V",)),))
     with pytest.raises(ValueError):
         Engine(program, config=EngineConfig(), clock=VirtualClock(0))
+
+
+R_XY = ast.RelationDecl("R", ("X", "Y"))
+
+
+def rule_over(condition):
+    return ast.Program(relations=(R_XY,), rules=(ast.RuleDecl("A", condition, ()),))
+
+
+def insert_of(*args):
+    return ast.Program(relations=(R_XY,), top_level_statements=(ast.Insert("R", args),))
+
+
+def above(ref, literal=0.0):
+    return ast.Binary(">", ref, ast.Literal(literal))
+
+
+@pytest.mark.parametrize("program, message", [
+    (rule_over(above(ast.FieldRef("NOPE", "X"))), "rule A: unknown relation NOPE in condition"),
+    (rule_over(above(ast.FieldRef("R", "Z"))), "relation R has no field Z"),
+    (rule_over(above(ast.FieldRef("R", "X", 1))),
+     "history offset of R.X must be a non-positive integer, got 1"),
+    (insert_of(ast.Literal(1.0)), "relation R takes 2 values, got 1"),
+    (rule_over(above(ast.FieldRef("R", "X"), math.nan)),
+     "literal nan is not a text, a finite number, a boolean or null"),
+    (insert_of(ast.Literal(1), ast.Literal(2.0)),
+     "literal 1 is not a text, a finite number, a boolean or null"),
+], ids=["unknown relation", "unknown field", "positive offset", "insert arity",
+        "NaN literal", "int literal"])
+def test_engine_refuses_a_tree_built_program_the_resolver_refuses(program, message):
+    with pytest.raises(SemanticError) as err:
+        Engine(program, config=EngineConfig(), clock=VirtualClock(0))
+    assert err.value.message == message
+
+
+def test_engine_runs_a_tree_built_program_as_the_resolver_rewrites_it():
+    # COUNTER.count names no relation: the resolver makes it a scope reference
+    program = ast.Program(
+        relations=(ast.RelationDecl("OUT", ("N",)),),
+        modules=(ast.ModuleDecl("COUNTER", ("count",)),),
+        mappings=(ast.MapDecl("module", "COUNTER", "http://m.example/c"),),
+        endpoints=(ast.EndpointDecl("E", (), (
+            ast.CallModule("COUNTER", ()),
+            ast.Insert("OUT", (ast.FieldRef("COUNTER", "count"),)),
+        )),),
+    )
+    outbound = FakeOutbound({"http://m.example/c": (200, b'{"count": 7}')})
+    engine = Engine(program, config=EngineConfig(), clock=VirtualClock(0), outbound=outbound)
+    engine.load()
+    assert engine.process_event(EndpointCall("E", ())).error is None
+    assert engine.store.latest("OUT", "N") == 7.0
 
 
 # -- determinism ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from liot.errors import (
     UnknownNameError,
     ScalarError,
 )
-from liot.evaluator import UNAVAILABLE, eval_condition, eval_expr
+from liot.evaluator import UNAVAILABLE, compile_expr, eval_condition
 from liot.store import Store
 
 R = ast.RelationDecl("R", ("MAC", "RSSI"))
@@ -22,8 +22,12 @@ Q = ast.RelationDecl("Q", ("N", "S", "B"))
 def store_with(*rssi_values, window=1024):
     store = Store([R, Q], window_default=window)
     for i, v in enumerate(rssi_values):
-        store.insert("R", [f"mac{i}", v], t=1000 + i)
+        store.insert("R", (f"mac{i}", float(v)), t=1000 + i)
     return store
+
+
+def evaluate(expr, store, scope):
+    return compile_expr(expr)(store, scope)
 
 
 # -- an independent reference evaluator ------------------------------------------
@@ -113,7 +117,7 @@ _ERROR_KINDS = {
 
 def production_outcome(expr, store, scope):
     try:
-        return ("ok", eval_expr(expr, store, scope))
+        return ("ok", evaluate(expr, store, scope))
     except tuple(_ERROR_KINDS) as exc:
         return ("err", _ERROR_KINDS[type(exc)])
 
@@ -123,59 +127,59 @@ def production_outcome(expr, store, scope):
 
 def test_rssi_rule_condition_true_for_weak_signal():
     store = store_with(-87)
-    assert eval_expr(Binary("<", FieldRef("R", "RSSI"), Literal(-60.0)), store, {}) is True
+    assert evaluate(Binary("<", FieldRef("R", "RSSI"), Literal(-60.0)), store, {}) is True
 
 
 def test_identity_and_cross_type_equality():
     store = store_with()
-    assert eval_expr(Binary("==", Literal(1.0), Literal(1.0)), store, {}) is True
-    assert eval_expr(Binary("==", Literal("a"), Literal(1.0)), store, {}) is False
-    assert eval_expr(Binary("!=", Literal("a"), Literal(1.0)), store, {}) is True
-    assert eval_expr(Binary("==", Literal(True), Literal(1.0)), store, {}) is False
-    assert eval_expr(Binary("==", Literal(None), Literal(None)), store, {}) is True
+    assert evaluate(Binary("==", Literal(1.0), Literal(1.0)), store, {}) is True
+    assert evaluate(Binary("==", Literal("a"), Literal(1.0)), store, {}) is False
+    assert evaluate(Binary("!=", Literal("a"), Literal(1.0)), store, {}) is True
+    assert evaluate(Binary("==", Literal(True), Literal(1.0)), store, {}) is False
+    assert evaluate(Binary("==", Literal(None), Literal(None)), store, {}) is True
 
 
 def test_text_compares_lexicographically():
     store = store_with()
-    assert eval_expr(Binary("<", Literal("abc"), Literal("abd")), store, {}) is True
+    assert evaluate(Binary("<", Literal("abc"), Literal("abd")), store, {}) is True
 
 
 def test_booleans_order_false_before_true():
     store = store_with()
-    assert eval_expr(Binary("<", Literal(False), Literal(True)), store, {}) is True
+    assert evaluate(Binary("<", Literal(False), Literal(True)), store, {}) is True
 
 
 def test_type_errors():
     store = store_with()
     with pytest.raises(EvalTypeError):
-        eval_expr(Binary("+", Literal("a"), Literal(1.0)), store, {})
+        evaluate(Binary("+", Literal("a"), Literal(1.0)), store, {})
     with pytest.raises(EvalTypeError):
-        eval_expr(Unary("NOT", Literal(5.0)), store, {})
+        evaluate(Unary("NOT", Literal(5.0)), store, {})
     with pytest.raises(EvalTypeError):
-        eval_expr(Binary("<", Literal("a"), Literal(1.0)), store, {})
+        evaluate(Binary("<", Literal("a"), Literal(1.0)), store, {})
 
 
 def test_division_by_zero():
     store = store_with()
     with pytest.raises(DivisionByZeroError):
-        eval_expr(Binary("/", Literal(1.0), Literal(0.0)), store, {})
+        evaluate(Binary("/", Literal(1.0), Literal(0.0)), store, {})
 
 
 def test_scope_lookup():
     store = store_with()
-    assert eval_expr(ScopeRef("x"), store, {"x": 5.0}) == 5.0
-    assert eval_expr(ScopeRef("COUNTER.count"), store, {"COUNTER.count": 7.0}) == 7.0
+    assert evaluate(ScopeRef("x"), store, {"x": 5.0}) == 5.0
+    assert evaluate(ScopeRef("COUNTER.count"), store, {"COUNTER.count": 7.0}) == 7.0
     with pytest.raises(UnknownNameError):
-        eval_expr(ScopeRef("missing"), store, {})
+        evaluate(ScopeRef("missing"), store, {})
 
 
 def test_short_circuit_skips_unavailable_history():
     store = store_with()  # R is empty: any FieldRef would raise
     probe = Binary("<", FieldRef("R", "RSSI"), Literal(0.0))
-    assert eval_expr(Binary("AND", Literal(False), probe), store, {}) is False
-    assert eval_expr(Binary("OR", Literal(True), probe), store, {}) is True
+    assert evaluate(Binary("AND", Literal(False), probe), store, {}) is False
+    assert evaluate(Binary("OR", Literal(True), probe), store, {}) is True
     with pytest.raises(HistoryUnavailableError):
-        eval_expr(Binary("AND", Literal(True), probe), store, {})
+        evaluate(Binary("AND", Literal(True), probe), store, {})
 
 
 # -- condition semantics ------------------------------------------------------
@@ -184,13 +188,13 @@ def test_short_circuit_skips_unavailable_history():
 def test_condition_on_empty_window_is_unavailable():
     store = store_with()
     cond = Binary("<", FieldRef("R", "RSSI"), Literal(-60.0))
-    assert eval_condition(cond, store, {}) is UNAVAILABLE
+    assert eval_condition(compile_expr(cond), store, {}) is UNAVAILABLE
 
 
 def test_condition_with_insufficient_history_is_unavailable():
     store = store_with(-87)
     cond = Binary("<", FieldRef("R", "RSSI", -1), Literal(-60.0))
-    assert eval_condition(cond, store, {}) is UNAVAILABLE
+    assert eval_condition(compile_expr(cond), store, {}) is UNAVAILABLE
 
 
 def test_condition_two_records_hand_trace():
@@ -201,20 +205,20 @@ def test_condition_two_records_hand_trace():
         Binary("<", FieldRef("R", "RSSI"), Literal(-60.0)),
         Binary("<", FieldRef("R", "RSSI", -1), Literal(-60.0)),
     )
-    assert eval_condition(cond, store, {}) is False
+    assert eval_condition(compile_expr(cond), store, {}) is False
 
 
 def test_condition_type_error_still_raises():
     store = store_with(-87)
     cond = Binary("AND", Binary("<", FieldRef("R", "RSSI"), Literal(-60.0)), Literal(5.0))
     with pytest.raises(EvalTypeError):
-        eval_condition(cond, store, {})
+        eval_condition(compile_expr(cond), store, {})
 
 
 def test_condition_non_boolean_result_raises():
     store = store_with(-87)
     with pytest.raises(EvalTypeError):
-        eval_condition(FieldRef("R", "RSSI"), store, {})
+        eval_condition(compile_expr(FieldRef("R", "RSSI")), store, {})
 
 
 # -- randomized equivalence with the reference evaluator ---------------------------
@@ -245,10 +249,10 @@ def random_expr(rng, depth):
 def test_random_equivalence_with_reference_evaluator():
     rng = random.Random(4242)
     store = Store([R, Q], window_default=4)
-    store.insert("R", ["aa", -87], t=1000)
-    store.insert("R", ["bb", -50], t=1001)
-    store.insert("Q", [3, "abc", True], t=1002)
-    store.insert("Q", [0, "", False], t=1003)
+    store.insert("R", ("aa", -87.0), t=1000)
+    store.insert("R", ("bb", -50.0), t=1001)
+    store.insert("Q", (3.0, "abc", True), t=1002)
+    store.insert("Q", (0.0, "", False), t=1003)
     scope = {"x": 2.0, "y": "text"}
     for i in range(10000):
         expr = random_expr(rng, rng.randint(1, 4))

@@ -687,6 +687,7 @@ def raw_stub(reply, connections=1, tls=None):
         yield f"{scheme}://127.0.0.1:{listener.getsockname()[1]}", heads
     finally:
         stop.set()
+        listener.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked in accept()
         listener.close()
         thread.join(timeout=10)
         assert not thread.is_alive()

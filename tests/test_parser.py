@@ -2,7 +2,7 @@ import pytest
 
 from liot import ast
 from liot.errors import ParseError, SemanticError
-from liot.parser import parse_expression, parse_program
+from liot.parser import parse_expression, parse_program, resolve_program
 
 COMPOSITE = """
 RELATION R (MAC, RSSI)
@@ -175,6 +175,7 @@ ENDPOINT E ()
     program = parse_program(src)
     insert = program.endpoints[0].body[1]
     assert insert.args == (ast.ScopeRef("COUNTER.count"),)
+    assert resolve_program(program) == program  # Engine resolves it again
 
 
 def test_offset_on_scope_ref_rejected():
