@@ -18,6 +18,11 @@ The engine resolves the program it is given (so one built as a syntax tree
 is checked too), then compiles rule conditions and statements into closures;
 the names they mention (rules, timers, modules) are looked up when they run,
 except a module's declared outputs, which are bound when the CALL is compiled.
+
+The engine owns the timer rule for both clocks: ``run_due_timers`` ticks the
+timers due now. Under the wall clock the runtime's loop only asks
+``next_timer_ms`` when to wake and then calls it; under a virtual clock
+``advance_to`` calls it at each instant a timer comes due.
 """
 
 from __future__ import annotations
@@ -123,7 +128,6 @@ class RuleState:
 @dataclass
 class TimerState:
     decl: ast.TimerDecl
-    order: int
     body: tuple[Step, ...]
     running: bool = True
     next_fire: int = 0
@@ -214,8 +218,7 @@ class Engine:
                     self.dependency_index[relation].append(rs)
 
         self.timer_states: dict[str, TimerState] = {
-            t.name: TimerState(decl=t, order=i, body=compile_block(t.body))
-            for i, t in enumerate(program.timers)
+            t.name: TimerState(decl=t, body=compile_block(t.body)) for t in program.timers
         }
 
         self._endpoints_by_name = {
@@ -259,8 +262,7 @@ class Engine:
             firings = self._event_firings = []
             self._cascade_depth = 0
             try:
-                for step in self._top_level:
-                    step({})
+                self._run_block(self._top_level, {})  # one scope, as any block
             except EngineRuntimeError as exc:
                 self._log_event_error(f"top-level statement failed: {exc}")
             finally:
@@ -483,28 +485,44 @@ class Engine:
     def _acall_module(self, name: str, args: tuple[Compiled, ...], scope: Scope) -> None:
         self.outbound.submit_async(*self._module_request(name, args, scope))
 
-    # -- timers under the virtual clock ------------------------------------------
+    # -- timers ---------------------------------------------------------------
+
+    def next_timer_ms(self) -> int | None:
+        """When the earliest running timer is due; None when none runs."""
+        return min([ts.next_fire for ts in self.timer_states.values() if ts.running], default=None)
+
+    def run_due_timers(self) -> None:
+        """One tick of each running timer due now, in declaration order.
+
+        A timer is ticked once however many of its slots were missed (a
+        suspend, a clock jump), and its next slot is the first after now. A
+        tick's body may stop a timer later in the order, which then does not
+        tick in this pass, or start one, which is then not due until a full
+        interval from now."""
+        now = self.clock.now_ms()
+        for ts in self.timer_states.values():
+            if ts.running and ts.next_fire <= now:
+                interval = ts.decl.interval_ms
+                ts.next_fire += ((now - ts.next_fire) // interval + 1) * interval
+                self.process_event(TimerTick(ts.decl.name))
 
     def advance_to(self, target_ms: int) -> None:
-        """Drain every timer tick due up to target time, in timestamp order,
-        ties broken by declaration order, then land the clock on the target."""
+        """Move a virtual clock to the target, stopping at each instant a
+        running timer comes due on the way to run the due timers there."""
         clock = self.clock
         if not isinstance(clock, VirtualClock):
             raise RuntimeError("advance_to requires a virtual clock")
         if target_ms < clock.now_ms():
             raise ValueError("cannot advance backwards")
         while True:
-            due = [
-                (ts.next_fire, ts.order, ts.decl.name)
-                for ts in self.timer_states.values()
-                if ts.running and ts.next_fire <= target_ms
-            ]
+            due = [ts.next_fire for ts in self.timer_states.values()
+                   if ts.running and ts.next_fire <= target_ms]
             if not due:
                 break
-            fire_at, _, name = min(due)
-            clock.set_ms(max(fire_at, clock.now_ms()))
-            self.timer_states[name].next_fire = fire_at + self.timer_states[name].decl.interval_ms
-            self.process_event(TimerTick(name))
+            # a slot is missed only if the clock was set past it directly;
+            # then the timer ticks once, as under the wall clock
+            clock.set_ms(max(min(due), clock.now_ms()))
+            self.run_due_timers()
         clock.set_ms(target_ms)
 
     def advance(self, delta_ms: int) -> None:

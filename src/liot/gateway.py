@@ -235,6 +235,7 @@ class _Handler(socketserver.StreamRequestHandler):
     relations: dict[str, tuple[str, ...]]
     endpoints: dict[str, tuple[str, ...]]
     path: str  # request target of the request being served
+    url: urllib.parse.SplitResult  # ``path`` split into its parts
 
     # -- plumbing -------------------------------------------------------
 
@@ -287,6 +288,10 @@ class _Handler(socketserver.StreamRequestHandler):
         target = words[1]
         # "//x" would read as a host name; collapse it as http.server does (gh-87389)
         self.path = "/" + target.lstrip("/") if target.startswith("//") else target
+        try:
+            self.url = urllib.parse.urlsplit(self.path)
+        except ValueError as exc:  # say "http://[/x", an IPv6 host whose bracket never closes
+            return self._refuse(400, f"bad request target: {exc}")
         self.do_GET()
         return keep_alive
 
@@ -306,8 +311,7 @@ class _Handler(socketserver.StreamRequestHandler):
         self._reply(status, {"error": message})
 
     def _query_pairs(self) -> list[tuple[str, str]]:
-        query = urllib.parse.urlsplit(self.path).query
-        return urllib.parse.parse_qsl(query, keep_blank_values=True)
+        return urllib.parse.parse_qsl(self.url.query, keep_blank_values=True)
 
     def _collect_exact(self, names: tuple[str, ...]) -> list[Value] | None:
         """Each declared name exactly once, nothing extra; None means a 400
@@ -335,7 +339,7 @@ class _Handler(socketserver.StreamRequestHandler):
     # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (bench/tracer.py wraps it by this name)
-        path = urllib.parse.urlsplit(self.path).path
+        path = self.url.path
         parts = [p for p in path.split("/") if p]
         if parts == ["healthz"]:
             failure = self.runtime.failure

@@ -5,10 +5,11 @@ loop: HTTP handlers only enqueue onto one bounded FIFO, a single loop thread
 processes events in arrival order, and shutdown drains whatever is queued
 before the persistence log closes.
 
-The loop also runs the wall-clock timers. It waits on the queue only until
-the earliest running timer is due, and after each event and each such
-timeout it runs one tick of every due timer, in declaration order. Ticks are
-never queued, so a full queue cannot drop them.
+The loop also runs the wall-clock timers, but the timer rule is the
+engine's: the loop asks ``Engine.next_timer_ms`` when to wake, waits on the
+queue no longer than that, and after each event and each such timeout calls
+``Engine.run_due_timers``. Ticks are never queued, so a full queue cannot
+drop them.
 
 The loop is fail-stop: an exception that is not an event's own error (say an
 OSError from the persistence log) leaves the engine's state in doubt, so the
@@ -25,7 +26,7 @@ import time
 from collections import deque
 
 from .clock import WallClock
-from .engine import EndpointCall, Engine, Event, ExternalInsert, TimerState, TimerTick
+from .engine import EndpointCall, Engine, Event, ExternalInsert
 from .errors import LiotError
 from .values import Value
 
@@ -88,10 +89,12 @@ class EngineRuntime:
 
     def _run_loop(self) -> None:
         engine = self.engine
-        timers = list(engine.timer_states.values()) if isinstance(engine.clock, WallClock) else []
+        ticking = bool(engine.timer_states) and isinstance(engine.clock, WallClock)
         while True:
+            wake_ms = engine.next_timer_ms() if ticking else None
+            timeout = None if wake_ms is None else max(wake_ms - engine.clock.now_ms(), 0) / 1000
             try:
-                event = self.events.get(timeout=self._seconds_to_next_tick(timers))
+                event = self.events.get(timeout=timeout)
             except queue.Empty:
                 event = None  # a timer is due
             try:
@@ -100,31 +103,15 @@ class EngineRuntime:
                 if self.failure is None:  # after a failure, queued events are dropped
                     if event is not None:
                         engine.process_event(event)
-                    if timers:
-                        self._run_due_ticks(timers)
+                    if ticking:
+                        engine.run_due_timers()
             except Exception as exc:  # process_event handles the event's own errors
                 self.failure = f"{type(exc).__name__}: {exc}"
                 logger.critical("event loop stopped: %s", self.failure, exc_info=True)
-                timers = []  # no more ticks, and no more waking for them
+                ticking = False  # no more ticks, and no more waking for them
             finally:
                 if event is not None:
                     self.events.task_done()
-
-    def _seconds_to_next_tick(self, timers: list[TimerState]) -> float | None:
-        due = [ts.next_fire for ts in timers if ts.running]
-        if not due:
-            return None
-        return max(min(due) - self.engine.clock.now_ms(), 0) / 1000
-
-    def _run_due_ticks(self, timers: list[TimerState]) -> None:
-        now = self.engine.clock.now_ms()
-        for ts in timers:
-            if ts.running and ts.next_fire <= now:
-                # one tick, however many were missed (a suspend, a clock
-                # jump): the next slot is the first after now
-                interval = ts.decl.interval_ms
-                ts.next_fire += ((now - ts.next_fire) // interval + 1) * interval
-                self.engine.process_event(TimerTick(ts.decl.name))
 
     def shutdown(self) -> None:
         """Drain the queue, then close the engine."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import threading
 from collections import deque
 from itertools import islice
@@ -145,12 +144,13 @@ class Store:
         return record.values[window.positions[field]]
 
     def read(self, relation: str, limit: int) -> list[Record]:
-        """Newest-first prefix of the window, at most ``limit`` records."""
+        """Newest-first prefix of the window, at most ``limit`` records; a
+        limit past the window, however large, reads the whole window."""
         if limit < 1:
             raise ValueError(f"limit must be positive, got {limit}")
         records = self.window(relation).records
         with self.lock:
-            return list(islice(reversed(records), limit))
+            return list(islice(reversed(records), min(limit, len(records))))
 
     def size(self, relation: str) -> int:
         with self.lock:
@@ -199,25 +199,31 @@ def replay_log(store: Store, path: str | Path) -> int:
 
     Replay only restores state: it never fires triggers, rules or webhooks.
     Any malformed line, one that is not UTF-8 among them, aborts the replay
-    with its line number and leaves the store as it was: each window's tail
-    is collected apart, at most its capacity, and installed once at the end.
+    with its line number and leaves both the store and the file as they
+    were: each window's tail is collected apart, at most its capacity, and
+    installed once at the end.
 
-    A last line without its newline that is not one JSON value was torn by
-    a crash in the middle of an append. It is never replayed: it is cut off
-    the file with a warning, so that the next append starts on a line of
-    its own. A whole last line without its newline is given one.
+    The file is read once. A last line without its newline that is not one
+    JSON value was torn by a crash in the middle of an append. It is never
+    replayed: it is cut off the file with a warning, so that the next append
+    starts on a line of its own. A whole last line without its newline is
+    replayed like any other and then given its newline.
     """
-    torn = _end_on_a_newline(path)
     decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
     windows = store.windows
     tails = {name: deque(w.records, maxlen=w.capacity) for name, w in windows.items()}
     next_seq = store.next_seq
     count = line_number = 0
-    with open(path, "rb") as handle:
-        for line_number, line in enumerate(handle, start=1):
+    raw = b""
+    torn = False
+    with open(path, "r+b") as handle:
+        for line_number, raw in enumerate(handle, start=1):
             try:
-                line = line.decode().strip()
+                line = raw.decode().strip()
             except UnicodeDecodeError as exc:
+                if not raw.endswith(b"\n"):  # only the last line can lack it
+                    torn = True
+                    break
                 raise ReplayError(f"log line {line_number}: not UTF-8: {exc}", line_number) from None
             if not line:
                 continue
@@ -229,6 +235,9 @@ def replay_log(store: Store, path: str | Path) -> int:
                 try:
                     entry = json.loads(line)
                 except ValueError as exc:
+                    if not raw.endswith(b"\n"):
+                        torn = True
+                        break
                     raise ReplayError(f"log line {line_number}: invalid JSON: {exc}", line_number)
             if type(entry) is not dict:
                 raise ReplayError(f"log line {line_number}: not an object", line_number)
@@ -263,38 +272,15 @@ def replay_log(store: Store, path: str | Path) -> int:
             tails[relation].append(Record(t, seq, tuple(values)))
             next_seq = (seq if seq > next_seq else next_seq) + 1  # as Store.insert
             count += 1
-    if torn:
-        logger.warning("log line %d was torn (%d bytes, no newline): cut off the log",
-                       line_number + 1, torn)
+        if raw and not raw.endswith(b"\n"):
+            if torn or not line:  # blank counts as torn: it is not one JSON value
+                handle.truncate(handle.tell() - len(raw))
+                logger.warning("log line %d was torn (%d bytes, no newline): cut off the log",
+                               line_number, len(raw))
+            else:
+                handle.write(b"\n")
     with store.lock:
         for name, window in windows.items():
             window.records = tails[name]
         store.next_seq = next_seq
     return count
-
-
-def _end_on_a_newline(path: str | Path) -> int:
-    """Make the log end on a newline; returns how many torn bytes were cut."""
-    with open(path, "r+b") as handle:
-        end = handle.seek(0, os.SEEK_END)
-        if end == 0:
-            return 0
-        handle.seek(end - 1)
-        if handle.read(1) == b"\n":
-            return 0
-        start, tail = end, b""
-        while start > 0 and b"\n" not in tail:  # walk back to the last line's start
-            step = min(start, 65536)
-            start -= step
-            handle.seek(start)
-            tail = handle.read(step) + tail
-        line_start = tail.rfind(b"\n") + 1
-        tail = tail[line_start:]
-        try:
-            json.loads(tail.decode("utf-8"))
-        except ValueError:  # UnicodeDecodeError or JSONDecodeError: cut short
-            handle.truncate(start + line_start)
-            return len(tail)
-        handle.seek(end)
-        handle.write(b"\n")
-        return 0

@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from liot import gateway
+from liot.clock import WallClock
 from liot.config import RunConfig
 from liot.engine import EndpointCall, Engine, ExternalInsert
 from liot.errors import ModuleCallError
@@ -45,6 +46,17 @@ def module_call_error(engine: Engine, event: ExternalInsert | EndpointCall) -> M
     return err.value
 
 
+class SettableWallClock(WallClock):
+    """A wall clock that reads ``now``, which the test sets."""
+
+    def __init__(self, now_ms):
+        super().__init__()
+        self.now = now_ms
+
+    def now_ms(self):
+        return self.now
+
+
 class StubServer:
     """Records every GET it receives; responds per-path or with a default."""
 
@@ -75,7 +87,9 @@ class StubServer:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.server.daemon_threads = True
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll: shutdown() waits up to one poll interval
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         self.thread.start()
 
     @property

@@ -387,6 +387,20 @@ R ("bb", -50)
     assert [(f.kind, f.name) for f in engine.firing_log] == [("rule", "R1")]
 
 
+def test_top_level_statements_share_one_scope():
+    src = """
+RELATION OUT (N)
+MODULE COUNTER (count)
+MAP MODULE COUNTER : http://mod.example/counter
+CALL COUNTER ()
+OUT (COUNTER.count)
+"""
+    outbound = FakeOutbound({"http://mod.example/counter": (200, b'{"count": 7}')})
+    engine = make_engine(src, outbound=outbound)
+    assert engine.event_errors == []
+    assert engine.store.latest("OUT", "N") == 7.0
+
+
 def test_trigger_body_reads_freshly_inserted_record():
     src = """
 RELATION R (MAC, RSSI)

@@ -91,6 +91,9 @@ def test_read_limits_and_order():
         assert [r["MAC"] for r in records] == ["m2", "m1"]
         records = get_json(f"{base}/rel/R/read?limit=100")[1]
         assert [r["MAC"] for r in records] == ["m2", "m1", "m0"]
+        # a limit past sys.maxsize still means the whole window
+        records = get_json(f"{base}/rel/R/read?limit=99999999999999999999")[1]
+        assert [r["MAC"] for r in records] == ["m2", "m1", "m0"]
         # default limit is 1
         records = get_json(f"{base}/rel/R/read")[1]
         assert [r["MAC"] for r in records] == ["m2"]
@@ -300,8 +303,9 @@ def exchange(base, request, count=1):
     (b"GET /healthz HTTP/1.1\r\n" + b"X: 1\r\n" * 101 + b"\r\n", 431),
     (b"POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
     (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    (b"GET http://[/healthz HTTP/1.1\r\n\r\n", 400),
 ], ids=["three words needed", "bad version", "HTTP/0.9", "414", "long header",
-        "101 headers", "POST", "HTTP/2.0"])
+        "101 headers", "POST", "HTTP/2.0", "unclosed IPv6 bracket"])
 def test_malformed_request_gets_a_json_error_and_the_connection_closes(request_bytes, status):
     with running_stack(PROGRAM) as (runtime, base):
         [(got, body)], closed = exchange(base, request_bytes)

@@ -12,7 +12,7 @@ from liot.parser import parse_program
 from liot.runtime import RECENT_LOG_LIMIT, EngineRuntime, LoopStoppedError, QueueFullError
 from liot.store import PersistenceLog
 
-from .helpers import get_json, running_stack
+from .helpers import SettableWallClock, get_json, running_stack
 
 
 def test_wall_clock_timer_enqueues_ticks():
@@ -27,15 +27,6 @@ def test_wall_clock_timer_enqueues_ticks():
         assert engine.store.size("TICKS") >= 3
     finally:
         runtime.shutdown()
-
-
-class SettableWallClock(WallClock):
-    def __init__(self, now_ms):
-        super().__init__()
-        self.now = now_ms
-
-    def now_ms(self):
-        return self.now
 
 
 def test_ticks_missed_across_a_clock_jump_are_queued_once():

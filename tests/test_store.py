@@ -274,6 +274,19 @@ def test_unterminated_bad_record_is_still_refused(tmp_path):
         replay_log(make_store(), path)
 
 
+@pytest.mark.parametrize("content, line_number", [
+    (b'{"rel":"Q","t":1,"seq":1,"v":[5]}\n{"rel":"NOPE","t":2,"seq":2,"v":[6]}\n' + TORN.encode(), 2),
+    (b'{"rel":"Q","t":1,"seq":1,"v":[5]}\n{"rel":"Q","t":2,"seq":2,"v":[6,7]}', 2),
+], ids=["bad line ahead of a torn tail", "unterminated bad last record"])
+def test_a_failed_replay_leaves_the_log_byte_identical(tmp_path, content, line_number):
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(ReplayError) as err:
+        replay_log(make_store(), path)
+    assert err.value.line_number == line_number
+    assert path.read_bytes() == content
+
+
 def test_log_line_shape_is_exact(tmp_path):
     path = tmp_path / "run.jsonl"
     store = make_store()
