@@ -2,9 +2,12 @@
 
 Everything is GET: sensors insert through query strings, reads return a JSON
 array, endpoints accept asynchronous calls, and module calls / webhooks go out
-as GETs too. Inbound handlers never touch engine state directly; they enqueue
-an event or take a store snapshot. Response bodies use one fixed JSON
-serialization so identical snapshots yield byte-identical responses.
+as GETs too. Inbound, the server's own accept loop hands each connection to a
+thread of its own, where a small HTTP/1.1 reader serves its requests in order.
+Handlers never touch engine state directly; they enqueue an event or take a
+store snapshot. Response bodies use one fixed JSON serialization so identical
+snapshots yield byte-identical responses. Outbound, each GET is one HTTP/1.0
+request on a new connection, and its timeout bounds the whole call.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import logging
 import queue
 import re
 import socket
-import socketserver
 import threading
+import time
 import urllib.parse
 from functools import cached_property
 from http import HTTPStatus
@@ -51,7 +54,8 @@ class OutboundClient:
     result), proxy settings are not consulted and the request carries only
     ``Host``. Timeouts surface as TimeoutError, every other transport
     failure, a URL that cannot be sent as it is and a reply without a status
-    line as ConnectionError, HTTP error statuses as plain results. The body
+    line as ConnectionError, HTTP error statuses as plain results. The
+    timeout bounds the whole call, from connect to the last byte. The body
     returned is at most ``BODY_LIMIT + 1`` bytes, so callers can tell an
     oversized one.
     """
@@ -79,14 +83,18 @@ class OutboundClient:
             raise ConnectionError(f"cannot send a GET to {full!r}: no host")
         request = b"GET %s HTTP/1.0\r\nHost: %s\r\n\r\n" % (target.encode(), host_port.encode())
         limit = HEAD_LIMIT + BODY_LIMIT + 1
+        deadline = time.monotonic() + timeout_ms / 1000.0
         try:
             sock = socket.create_connection((host, port), timeout_ms / 1000.0)
             try:
                 if tls:
+                    sock.settimeout(_time_left(deadline))
                     sock = self._tls.wrap_socket(sock, server_hostname=host)
+                sock.settimeout(_time_left(deadline))
                 sock.sendall(request)
                 reply = bytearray()
                 while len(reply) < limit:
+                    sock.settimeout(_time_left(deadline))
                     chunk = sock.recv(min(limit - len(reply), 65536))
                     if not chunk:
                         break
@@ -98,6 +106,15 @@ class OutboundClient:
         except OSError as exc:
             raise ConnectionError(str(exc)) from exc
         return _parse_reply(reply)
+
+
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` (a ``time.monotonic`` reading); TimeoutError
+    once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
 
 
 def _parse_reply(reply: bytearray) -> tuple[int, bytes]:
@@ -221,7 +238,7 @@ IDLE_TIMEOUT_SECONDS = 60.0
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler:
     """HTTP/1.1 GET requests on one connection, served in order (RFC 9112).
 
     Only the request line and the ``Connection`` header are read; a request
@@ -229,26 +246,25 @@ class _Handler(socketserver.StreamRequestHandler):
     connection is closed.
     """
 
-    # set on the subclass by GatewayServer: the runtime, and the declared
-    # fields of each relation and parameters of each endpoint
-    runtime: EngineRuntime
-    relations: dict[str, tuple[str, ...]]
-    endpoints: dict[str, tuple[str, ...]]
     path: str  # request target of the request being served
     url: urllib.parse.SplitResult  # ``path`` split into its parts
 
+    def __init__(self, server: GatewayServer, connection: socket.socket, address: object):
+        self.runtime = server.runtime
+        self.relations = server.relations  # declared fields of each relation
+        self.endpoints = server.endpoints  # declared parameters of each endpoint
+        self.connection = connection
+
     # -- plumbing -------------------------------------------------------
 
-    def setup(self) -> None:
-        self.timeout = IDLE_TIMEOUT_SECONDS
-        super().setup()
-
     def handle(self) -> None:
-        try:
-            while self._serve_one():
-                pass
-        except (ConnectionError, TimeoutError):
-            pass  # the client reset the connection or went quiet
+        self.connection.settimeout(IDLE_TIMEOUT_SECONDS)
+        with self.connection, self.connection.makefile("rb") as self.rfile:
+            try:
+                while self._serve_one():
+                    pass
+            except (ConnectionError, TimeoutError):
+                pass  # the client reset the connection or went quiet
 
     def _serve_one(self) -> bool:
         """Read one request head and answer it; True keeps the connection."""
@@ -305,7 +321,7 @@ class _Handler(socketserver.StreamRequestHandler):
         # headers, ~40 ms per reply on a reused connection.
         body = dump_json(payload).encode("utf-8")
         head = _REPLY_HEAD % (status, _REASONS[status], len(body))
-        self.wfile.write(head.encode("latin-1") + body)
+        self.connection.sendall(head.encode("latin-1") + body)
 
     def _fail(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
@@ -393,42 +409,49 @@ class _Handler(socketserver.StreamRequestHandler):
         self._reply(200, [render_record(r, fields) for r in records])
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
 class GatewayServer:
-    """Threaded HTTP server bound to the runtime; port 0 picks a free port."""
+    """HTTP server bound to the runtime; port 0 picks a free port. One ``liot-http``
+    thread accepts connections and serves each on a daemon thread of its own."""
 
     def __init__(self, runtime: EngineRuntime, host: str = "127.0.0.1", port: int = 8080):
-        program = runtime.engine.program
-        handler = type("BoundHandler", (_Handler,), {
-            "runtime": runtime,
-            "relations": {r.name: r.fields for r in program.relations},
-            "endpoints": {e.name: e.params for e in program.endpoints},
-        })
-        self.server = _Server((host, port), handler)
+        self.runtime = runtime
+        self.relations = {r.name: r.fields for r in runtime.engine.program.relations}
+        self.endpoints = {e.name: e.params for e in runtime.engine.program.endpoints}
+        self.listener = socket.create_server((host, port))  # sets SO_REUSEADDR
+        self._stopping = False
         self._thread: threading.Thread | None = None
 
     @property
-    def address(self) -> tuple[str, int]:
-        return self.server.server_address[0], self.server.server_address[1]
-
-    @property
     def base_url(self) -> str:
-        host, port = self.address
+        host, port = self.listener.getsockname()
         return f"http://{host}:{port}"
 
     def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self.server.serve_forever, name="liot-http", daemon=True
-        )
+        self._thread = threading.Thread(target=self._serve, name="liot-http", daemon=True)
         self._thread.start()
 
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, addr = self.listener.accept()
+            except OSError as exc:  # stop() shut the listener down, or say EMFILE
+                if self._stopping:
+                    return
+                logger.warning("accept failed: %s", exc)
+                continue
+            # _Handler is looked up now, not at import: tests substitute a recording one
+            thread = threading.Thread(target=_Handler(self, conn, addr).handle, daemon=True)
+            try:
+                thread.start()
+            except RuntimeError as exc:  # no thread to be had: drop this connection only
+                logger.warning("cannot serve %s: %s", addr, exc)
+                conn.close()
+
     def stop(self) -> None:
-        if self._thread is not None:  # shutdown() waits for serve_forever to end
-            self.server.shutdown()
+        """End the accept loop at once; open connections keep their threads."""
+        if self._thread is not None:
+            self._stopping = True
+            self.listener.shutdown(socket.SHUT_RDWR)  # wakes accept() on Linux, the one OS tested
             self._thread.join()
             self._thread = None
-        self.server.server_close()
+        self.listener.close()

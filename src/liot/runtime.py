@@ -42,7 +42,7 @@ class QueueFullError(LiotError):
 
 
 class LoopStoppedError(LiotError):
-    """The loop failed and takes no more events."""
+    """The loop failed, or is shutting down, and takes no more events."""
 
 
 class Shutdown:
@@ -56,7 +56,8 @@ class EngineRuntime:
         engine.event_errors = deque(engine.event_errors, maxlen=RECENT_LOG_LIMIT)
         self.events: queue.Queue[Event | Shutdown] = queue.Queue(maxsize=engine.config.queue_size)
         self._arrival = 0
-        self._arrival_lock = threading.Lock()
+        self._arrival_lock = threading.Lock()  # ticket order is queue order
+        self._closed = False  # set by shutdown: no event may land behind Shutdown
         self.failure: str | None = None  # why the loop stopped, once it has
         self._loop_thread: threading.Thread | None = None
 
@@ -66,13 +67,14 @@ class EngineRuntime:
         if self.failure is not None:
             raise LoopStoppedError(f"event loop stopped: {self.failure}")
         with self._arrival_lock:
+            if self._closed:
+                raise LoopStoppedError("event loop is shutting down")
             self._arrival += 1
-            arrival = self._arrival
-        try:
-            self.events.put_nowait(make_event(arrival))
-        except queue.Full:
-            raise QueueFullError("event queue is full") from None
-        return arrival
+            try:
+                self.events.put_nowait(make_event(self._arrival))
+            except queue.Full:
+                raise QueueFullError("event queue is full") from None
+            return self._arrival
 
     def submit_insert(self, relation: str, values: tuple[Value, ...]) -> int:
         return self._submit(lambda a: ExternalInsert(relation, values, arrival_seq=a))
@@ -114,7 +116,9 @@ class EngineRuntime:
                     self.events.task_done()
 
     def shutdown(self) -> None:
-        """Drain the queue, then close the engine."""
+        """Refuse further events, drain the queue, then close the engine."""
+        with self._arrival_lock:
+            self._closed = True
         if self._loop_thread is not None:
             self.events.put(Shutdown())
             self._loop_thread.join()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.parse
@@ -126,26 +127,22 @@ class WireLog:
 
 
 def record_wire(monkeypatch) -> WireLog:
-    """Patch the handler class servers started after this call use, so that
-    their connections and socket writes are recorded."""
+    """Patch the handler class that connections accepted after this call are
+    served by, so that their peers and socket writes are recorded."""
     wire = WireLog()
 
-    class Writer:
-        def __init__(self, inner):
-            self._inner = inner
+    class RecordingSocket(socket.socket):
+        __slots__ = ()  # same layout as socket.socket, so a socket can take this class
 
-        def write(self, data):
+        def sendall(self, data, *args):
             wire.writes.append(bytes(data))
-            return self._inner.write(data)
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
+            return super().sendall(data, *args)
 
     class RecordingHandler(gateway._Handler):
-        def setup(self):
-            super().setup()
-            wire.peers.append(self.client_address)
-            self.wfile = Writer(self.wfile)
+        def __init__(self, server, connection, address):
+            super().__init__(server, connection, address)
+            wire.peers.append(address)
+            connection.__class__ = RecordingSocket
 
     monkeypatch.setattr(gateway, "_Handler", RecordingHandler)
     return wire

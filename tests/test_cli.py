@@ -327,8 +327,9 @@ def test_script_output_identical_across_runs(tmp_path):
     assert runs[0] and all(r == runs[0] for r in runs)
 
 
-# Loaded by http.server; OpenSSL alone is ~4.6 MB of a process's memory.
-HEAVY_MODULES = ("http.server", "http.client", "email", "ssl")
+# Loaded by http.server; OpenSSL alone is ~4.6 MB of a process's memory. The
+# gateway serves connections from its own accept loop, without socketserver.
+HEAVY_MODULES = ("http.server", "http.client", "email", "ssl", "socketserver")
 
 
 def heavy_imports(importtime_stderr):

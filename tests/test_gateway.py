@@ -1,3 +1,4 @@
+import errno
 import gc
 import http.client
 import json
@@ -13,7 +14,8 @@ import time
 import urllib.parse
 import urllib.request
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from types import SimpleNamespace
 
 import pytest
 
@@ -392,6 +394,94 @@ def test_a_silent_connection_is_closed_and_its_thread_ends(monkeypatch):
         assert http_get(f"{base}/healthz")[0] == 200
 
 
+# -- the accept loop ------------------------------------------------------------------
+
+
+def unstarted_runtime():
+    return EngineRuntime(Engine(parse_program("RELATION R (X)")))
+
+
+@pytest.mark.parametrize("keep_alive", [False, True], ids=["idle", "a kept connection open"])
+def test_stop_returns_at_once(keep_alive):
+    server = GatewayServer(unstarted_runtime(), host="127.0.0.1", port=0)
+    base = server.base_url
+    server.start()
+    with ExitStack() as kept:
+        if keep_alive:
+            sock = kept.enter_context(open_raw(base))
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert read_replies(sock, 1) == ([(200, b'{"ok":true}')], False)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.05
+        if keep_alive:  # the open connection is still served
+            sock.settimeout(5)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            assert read_replies(sock, 1) == ([(200, b'{"ok":true}')], True)
+    with pytest.raises(ConnectionRefusedError):  # the listener is closed
+        open_raw(base).close()
+
+
+def test_the_accept_loop_outlives_a_failed_accept_and_a_failed_thread_start(monkeypatch, caplog):
+    failures = ["accept", "thread"]  # in the order they are met
+
+    class FlakyListener(socket.socket):
+        __slots__ = ()
+
+        def accept(self):
+            if failures[:1] == ["accept"]:
+                failures.pop(0)
+                raise OSError(errno.EMFILE, "Too many open files")
+            return super().accept()
+
+    class FlakyThread(threading.Thread):
+        def start(self):
+            if failures[:1] == ["thread"]:
+                failures.pop(0)
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(gateway, "threading", SimpleNamespace(Thread=FlakyThread))
+    server = GatewayServer(unstarted_runtime(), host="127.0.0.1", port=0)
+    server.listener.__class__ = FlakyListener
+    server.start()
+    try:
+        with open_raw(server.base_url) as dropped:
+            dropped.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            try:
+                assert dropped.recv(1) == b""  # closed without a reply
+            except ConnectionResetError:
+                pass
+        with open_raw(server.base_url) as served:
+            served.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert read_replies(served, 1) == ([(200, b'{"ok":true}')], False)
+    finally:
+        server.stop()
+    assert failures == []
+    messages = [r.getMessage() for r in caplog.records if r.name == "liot.gateway"]
+    assert "accept failed: [Errno 24] Too many open files" in messages
+    assert [m for m in messages if m.startswith("cannot serve ('127.0.0.1', ")
+            and m.endswith("): can't start new thread")]
+
+
+def test_a_kept_connection_gets_503_once_shutdown_has_begun(tmp_path):
+    log = tmp_path / "run.jsonl"
+    with running_stack("RELATION R (X)", RunConfig(log_path=str(log))) as (runtime, base):
+        sock = open_raw(base)
+        sock.sendall(b"GET /rel/R/insert?X=1 HTTP/1.1\r\n\r\n")
+        assert read_replies(sock, 1) == ([(202, b'{"queued":true,"seq":1}')], False)
+    # the stack has stopped its server and shut its runtime down
+    with sock:
+        sock.settimeout(5)
+        sock.sendall(b"GET /rel/R/insert?X=2 HTTP/1.1\r\n\r\n"
+                     b"GET /rel/R/read?limit=5 HTTP/1.1\r\n\r\n")
+        (refused, read), closed = read_replies(sock, 2)
+    assert refused == (503, b'{"error":"event loop is shutting down"}')
+    assert read[0] == 200 and [r["X"] for r in json.loads(read[1])] == [1]
+    assert not closed
+    assert [json.loads(line)["v"] for line in log.read_text().splitlines()] == [[1]]
+
+
 def json_reply(status: bytes, body: bytes) -> bytes:
     return (b"HTTP/1.1 %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
             % (status, len(body), body))
@@ -650,10 +740,11 @@ def no_unclosed_sockets():
 
 
 @contextmanager
-def raw_stub(reply, connections=1, tls=None):
+def raw_stub(reply, connections=1, tls=None, drip=None):
     """Accept up to ``connections`` connections on a free port. Each request
-    head is recorded, answered with ``reply`` (None: never answer) and the
-    connection closed. Yields (base URL, recorded heads)."""
+    head is recorded, answered with ``reply`` (None: never answer; with
+    ``drip``, one byte every ``drip`` seconds) and the connection closed.
+    Yields (base URL, recorded heads)."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(5)
     heads: list[bytes] = []
@@ -677,8 +768,13 @@ def raw_stub(reply, connections=1, tls=None):
                 heads.append(data)
                 if reply is None:
                     stop.wait(5)
-                else:
+                elif drip is None:
                     conn.sendall(reply)
+                else:
+                    for byte in reply:
+                        if stop.wait(drip):
+                            break
+                        conn.sendall(bytes([byte]))
             except OSError:
                 pass
             finally:
@@ -776,6 +872,28 @@ def test_outbound_times_out_within_the_timeout(no_unclosed_sockets):
             OutboundClient().get(base, [("x", "1")], 200)
         assert time.monotonic() - started < 2.0
     assert len(heads) == 1
+
+
+def test_outbound_timeout_bounds_a_reply_that_trickles_in(no_unclosed_sockets):
+    # one byte every 50 ms: each recv is quick, the whole reply would take ~3 s
+    with raw_stub(OK_REPLY, drip=0.05) as (base, heads):
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            OutboundClient().get(base, [("x", "1")], 500)
+        assert time.monotonic() - started < 1.0
+    assert len(heads) == 1
+
+
+def test_a_call_whose_reply_trickles_in_is_a_timeout_error(no_unclosed_sockets):
+    with raw_stub(OK_REPLY, drip=0.05) as (base, heads):
+        program = parse_program(f"MODULE M (v)\nMAP MODULE M : {base}/m\nENDPOINT E () {{ CALL M () }}")
+        engine = Engine(program, config=RunConfig(call_timeout_ms=300),
+                        outbound=AsyncDelivery(OutboundClient(), 300, inline=True))
+        started = time.monotonic()
+        err = module_call_error(engine, EndpointCall("E", ()))
+        assert time.monotonic() - started < 1.0
+    assert err.kind == "timeout"
+    assert str(err) == f"module call {base}/m timed out"
 
 
 def test_outbound_refused_connection(no_unclosed_sockets):

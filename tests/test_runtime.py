@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -139,6 +140,57 @@ def test_shutdown_drains_queued_events():
         runtime.submit_insert("R", (float(i),))
     runtime.shutdown()
     assert engine.store.size("R") == 100
+
+
+def test_a_submit_after_shutdown_is_refused_instead_of_ticketed(tmp_path):
+    log = tmp_path / "run.jsonl"
+    engine = Engine(parse_program("RELATION R (X)\nENDPOINT E (A) { R(A) }"),
+                    config=EngineConfig(log_path=str(log)))
+    runtime = EngineRuntime(engine)
+    runtime.start()
+    assert runtime.submit_insert("R", (1.0,)) == 1
+    runtime.shutdown()
+    with pytest.raises(LoopStoppedError, match="^event loop is shutting down$"):
+        runtime.submit_insert("R", (2.0,))
+    with pytest.raises(LoopStoppedError, match="^event loop is shutting down$"):
+        runtime.submit_endpoint("E", (3.0,))
+    assert runtime.events.empty()
+    assert [r.values for r in engine.store.read("R", 10)] == [(1.0,)]
+    assert log.read_text().count("\n") == 1
+
+
+def test_every_ticket_given_while_shutdown_begins_is_applied(tmp_path):
+    log = tmp_path / "run.jsonl"
+    engine = Engine(parse_program("RELATION R (X)"), config=EngineConfig(log_path=str(log)))
+    runtime = EngineRuntime(engine)
+    runtime.start()
+    tickets: list[int] = []
+
+    def sensor():
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                tickets.append(runtime.submit_insert("R", (1.0,)))
+            except QueueFullError:
+                time.sleep(0.001)
+            except LoopStoppedError:
+                return
+
+    threads = [threading.Thread(target=sensor, daemon=True) for _ in range(3)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many more thread switches inside _submit and shutdown
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)
+        runtime.shutdown()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert tickets and len(set(tickets)) == len(tickets)  # no two sensors share a ticket
+    assert log.read_text().count("\n") == len(tickets)  # each ticketed insert was applied
 
 
 def test_submit_raises_when_queue_full():
