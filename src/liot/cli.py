@@ -74,6 +74,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = _build_run_config(args)
         source = Path(args.file).read_text(encoding="utf-8")
         program = parse_program(source)
+        outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
+        engine = Engine(program, config=config, outbound=outbound)
     except SourceError as exc:
         _diag(args.file, exc)
         return 1
@@ -81,8 +83,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
-    engine = Engine(program, config=config, outbound=outbound)
     runtime = EngineRuntime(engine)
     try:
         server = GatewayServer(runtime, host=config.host, port=config.port)

@@ -42,6 +42,7 @@ from .config import EngineConfig
 from .errors import (
     ArityError,
     CascadeLimitError,
+    ConfigError,
     EngineRuntimeError,
     ModuleCallError,
     UnknownNameError,
@@ -184,6 +185,12 @@ class Engine:
         self.program = program
         self.config = config or EngineConfig()
         self.config.validate()
+        declared = {r.name for r in program.relations}
+        per_relation = {"window": self.config.window_overrides, "webhook": self.config.webhooks}
+        for key, names in per_relation.items():
+            for name in names:
+                if name not in declared:
+                    raise ConfigError(f"{key}.{name} names no declared relation")
         self.clock: Clock = clock or WallClock()
         self.outbound: Outbound = outbound or _NoOutbound()
 

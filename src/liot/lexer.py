@@ -1,21 +1,27 @@
 """Tokenizer for `.liot` source text.
 
-Produces a flat token list with 1-based source positions. Keywords are
-case-sensitive. A ``-`` directly followed by a digit lexes as part of a number
-literal when it sits in literal position (start of input, or after an
-operator, an opening bracket, a comma, a colon, a semicolon, or a keyword);
-anywhere else it is the binary minus operator.
+Produces a flat token list with 1-based source positions. ``_TOKEN`` has one
+named alternative per lexical rule of GRAMMAR.md, and a last one that takes
+any other character so that it can be reported. An identifier starts with a
+letter or ``_`` and goes on with letters, digits or ``_`` (Unicode ones
+included, as ``str.isalnum`` counts them); a number has ASCII digits only.
+Keywords are case-sensitive.
 
-One context-sensitive wrinkle: after ``MAP RELATION name :`` or
-``MAP MODULE name :`` the next token is the mapping target, lexed either as an
-ordinary quoted string or as a bare URI word (maximal run of characters that
-are neither whitespace nor ``;``), so that targets like ``module1.jsp`` or
-``http://host:8080/path?x=1`` survive as one token.
+Two rules depend on the tokens before, so they are code, not pattern. A ``-``
+directly followed by a digit lexes as part of a number literal when it sits in
+literal position (start of input, or after an operator, an opening bracket, a
+comma, a colon, a semicolon, or a keyword); anywhere else it is the binary
+minus operator. And after ``MAP RELATION name :`` or ``MAP MODULE name :`` the
+next token is the mapping target, lexed either as an ordinary quoted string or
+as a bare URI word (maximal run of characters that are neither whitespace nor
+``;``), so that targets like ``module1.jsp`` or ``http://host:8080/path?x=1``
+survive as one token.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,11 +49,24 @@ KEYWORDS = frozenset(
     }
 )
 
-PUNCT_CHARS = "(){}[],:.;"
-TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
-ONE_CHAR_OPS = "<>+-*/"
-
 STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
+# A string always matches from its opening quote; ``close`` is unset when the
+# literal runs into a newline, the end of input, or a backslash before either.
+_TOKEN = re.compile(
+    r"""
+      (?P<blank>[ \t\r\n]+|\#[^\n]*)
+    | (?P<string>"(?P<body>(?:[^"\\\n]|\\.)*)(?P<close>")?)
+    | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
+    | (?P<word>\w+)
+    | (?P<op><=|>=|==|!=|[<>+\-*/])
+    | (?P<punct>[(){}\[\],:.;])
+    | (?P<illegal>.)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(.)")
+_URI_WORD = re.compile(r"[^ \t\r\n;]*")
 
 
 class TokenKind(Enum):
@@ -72,169 +91,76 @@ class Token:
         return f"Token({self.kind.value} {self.value!r} @{self.line}:{self.column})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+def _in_literal_position(tokens: list[Token]) -> bool:
+    if not tokens:
+        return True
+    prev = tokens[-1]
+    if prev.kind in (TokenKind.OP, TokenKind.KEYWORD):
+        return True
+    return prev.kind is TokenKind.PUNCT and prev.value in "([{,:;"
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _expecting_map_target(tokens: list[Token]) -> bool:
+    if len(tokens) < 4 or tokens[-1].value != ":":
+        return False
+    t4, t3, t2, t1 = tokens[-4:]
+    return (
+        t1.kind is TokenKind.PUNCT
+        and t2.kind is TokenKind.IDENT
+        and t3.kind is TokenKind.KEYWORD
+        and t3.value in ("RELATION", "MODULE")
+        and t4.kind is TokenKind.KEYWORD
+        and t4.value == "MAP"
+    )
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
-
-    # -- character plumbing ----------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _emit(self, kind: TokenKind, value: object, line: int, column: int) -> None:
-        self.tokens.append(Token(kind, value, line, column))
-
-    def _skip_blank(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # -- context tests -----------------------------------------------------
-
-    def _in_literal_position(self) -> bool:
-        if not self.tokens:
-            return True
-        prev = self.tokens[-1]
-        if prev.kind in (TokenKind.OP, TokenKind.KEYWORD):
-            return True
-        return prev.kind is TokenKind.PUNCT and prev.value in "([{,:;"
-
-    def _expecting_map_target(self) -> bool:
-        if len(self.tokens) < 4:
-            return False
-        t4, t3, t2, t1 = self.tokens[-4:]
-        return (
-            t1.kind is TokenKind.PUNCT
-            and t1.value == ":"
-            and t2.kind is TokenKind.IDENT
-            and t3.kind is TokenKind.KEYWORD
-            and t3.value in ("RELATION", "MODULE")
-            and t4.kind is TokenKind.KEYWORD
-            and t4.value == "MAP"
-        )
-
-    # -- token producers -----------------------------------------------------
-
-    def _lex_uri_word(self) -> None:
-        line, column = self.line, self.column
-        chars: list[str] = []
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n" or ch == ";":
-                break
-            chars.append(self._advance())
-        self._emit(TokenKind.URI, "".join(chars), line, column)
-
-    def _lex_string(self) -> None:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source) or self._peek() == "\n":
-                raise LexError("unterminated text literal", line, column)
-            ch = self._advance()
-            if ch == '"':
-                self._emit(TokenKind.STRING, "".join(chars), line, column)
-                return
-            if ch == "\\":
-                if self.pos >= len(self.source):
-                    raise LexError("unterminated text literal", line, column)
-                esc = self._advance()
-                if esc not in STRING_ESCAPES:
-                    raise LexError(f"unknown escape '\\{esc}'", self.line, self.column - 2)
-                chars.append(STRING_ESCAPES[esc])
-            else:
-                chars.append(ch)
-
-    def _lex_number(self, negative: bool) -> None:
-        line, column = self.line, self.column
-        chars: list[str] = []
-        if negative:
-            chars.append(self._advance())  # the '-'
-        while self._peek().isdigit():
-            chars.append(self._advance())
-        if self._peek() == "." and self._peek(1).isdigit():
-            chars.append(self._advance())
-            while self._peek().isdigit():
-                chars.append(self._advance())
-        number = float("".join(chars))
-        if not math.isfinite(number):
-            raise LexError("number literal out of range", line, column)
-        self._emit(TokenKind.NUMBER, number, line, column)
-
-    def _lex_word(self) -> None:
-        line, column = self.line, self.column
-        chars: list[str] = []
-        while self.pos < len(self.source) and _is_ident_char(self._peek()):
-            chars.append(self._advance())
-        word = "".join(chars)
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-        self._emit(kind, word, line, column)
-
-    # -- main loop -------------------------------------------------------
-
-    def run(self) -> list[Token]:
-        while True:
-            self._skip_blank()
-            if self.pos >= len(self.source):
-                return self.tokens
-            if self._expecting_map_target() and self._peek() != '"':
-                self._lex_uri_word()
-                continue
-            ch = self._peek()
-            line, column = self.line, self.column
-            if ch == '"':
-                self._lex_string()
-            elif ch.isdigit():
-                self._lex_number(negative=False)
-            elif ch == "-" and self._peek(1).isdigit() and self._in_literal_position():
-                self._lex_number(negative=True)
-            elif _is_ident_start(ch):
-                self._lex_word()
-            elif self.source.startswith(TWO_CHAR_OPS, self.pos):
-                op = self.source[self.pos : self.pos + 2]
-                self._advance()
-                self._advance()
-                self._emit(TokenKind.OP, op, line, column)
-            elif ch in ONE_CHAR_OPS:
-                self._advance()
-                self._emit(TokenKind.OP, ch, line, column)
-            elif ch in PUNCT_CHARS:
-                self._advance()
-                self._emit(TokenKind.PUNCT, ch, line, column)
-            else:
-                raise LexError(f"illegal character {ch!r}", line, column)
+def _string_value(match: re.Match[str], source: str, line: int, column: int) -> str:
+    """The decoded payload of a string match, or the LexError it earns."""
+    body = match["body"]
+    for escape in _ESCAPE.finditer(body):
+        if escape[1] not in STRING_ESCAPES:
+            raise LexError(f"unknown escape '\\{escape[1]}'", line, column + 1 + escape.start())
+    if match["close"] is None:
+        if source.startswith("\\\n", match.end()):
+            raise LexError("unknown escape '\\\n'", line, column + 1 + len(body))
+        raise LexError("unterminated text literal", line, column)
+    return _ESCAPE.sub(lambda escape: STRING_ESCAPES[escape[1]], body)
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize source text; raises LexError with position on bad input."""
-    return _Lexer(source).run()
+    tokens: list[Token] = []
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        group, text, end = match.lastgroup, match[0], match.end()  # type: ignore[union-attr]
+        if group == "blank":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+            pos = end
+            continue
+        column = pos - line_start + 1
+        value: object = text
+        if group != "string" and _expecting_map_target(tokens):
+            uri = _URI_WORD.match(source, pos)[0]  # type: ignore[index]
+            kind, value, end = TokenKind.URI, uri, pos + len(uri)
+        elif group == "string":
+            value = _string_value(match, source, line, column)  # type: ignore[arg-type]
+            kind = TokenKind.STRING
+        elif group == "number" and text[0] == "-" and not _in_literal_position(tokens):
+            kind, value, end = TokenKind.OP, "-", pos + 1
+        elif group == "number":
+            number = float(text)
+            if not math.isfinite(number):
+                raise LexError("number literal out of range", line, column)
+            kind, value = TokenKind.NUMBER, number
+        elif group == "word" and (text[0].isalpha() or text[0] == "_"):
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+        elif group in ("op", "punct"):
+            kind = TokenKind(group)
+        else:
+            raise LexError(f"illegal character {text[0]!r}", line, column)
+        tokens.append(Token(kind, value, line, column))
+        pos = end
+    return tokens

@@ -18,8 +18,6 @@ from . import ast
 from .errors import ParseError, SemanticError
 from .lexer import Token, TokenKind, tokenize
 
-_EOF = Token(TokenKind.EOF, "<eof>", 0, 0)
-
 _SIMPLE_STATEMENTS = {
     "START": ast.StartTimer,
     "STOP": ast.StopTimer,
@@ -30,12 +28,15 @@ _SIMPLE_STATEMENTS = {
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        # the end token sits just past the last character of the source
+        line = source.count("\n") + 1
+        column = len(source) - source.rfind("\n")
+        self.tokens = tokenize(source) + [Token(TokenKind.EOF, "<eof>", line, column)]
         self.pos = 0
 
     def current(self) -> Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else _EOF
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.current()
@@ -583,7 +584,7 @@ class _Resolver:
 
 def parse_program(source: str) -> ast.Program:
     """Parse and validate source text into a Program."""
-    return resolve_program(_Parser(tokenize(source)).parse_program())
+    return resolve_program(_Parser(source).parse_program())
 
 
 def resolve_program(program: ast.Program) -> ast.Program:
@@ -593,7 +594,7 @@ def resolve_program(program: ast.Program) -> ast.Program:
 
 def parse_expression(source: str) -> ast.Expression:
     """Parse a standalone expression; dotted names become field references."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     expr = parser.parse_expression()
     trailing = parser.current()
     if trailing.kind is not TokenKind.EOF:

@@ -536,6 +536,17 @@ def test_run_with_busy_port_fails_cleanly(tmp_path):
         blocker.close()
 
 
+def test_run_refuses_a_config_key_for_an_undeclared_relation(tmp_path):
+    program = write(tmp_path, "t.liot", "RELATION R (X)")
+    config = write(tmp_path, "run.conf", "window.r = 3\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "liot", "run", program, "--port", "0", "--config", config],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: window.r names no declared relation\n"
+
+
 @pytest.mark.parametrize("line, message", [
     ('{"rel":"R","t":1,"seq":1,"v":["aa",%s]}' % ("9" * 400), "int too large to convert to float"),
     ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),

@@ -16,7 +16,7 @@ from liot.engine import (
     naive_oracle,
     resolve_target,
 )
-from liot.errors import ModuleCallError, SemanticError
+from liot.errors import ConfigError, ModuleCallError, SemanticError
 from liot.parser import parse_program
 from liot.values import dump_json
 
@@ -524,6 +524,15 @@ def test_webhook_fires_per_inserted_record():
     assert outbound.async_calls == [
         ("http://hook.example/cb", [("T", "0"), ("MAC", "aa"), ("RSSI", "-87")])
     ]
+
+
+@pytest.mark.parametrize("config, key", [
+    (EngineConfig(window_overrides={"r": 3}), "window.r"),
+    (EngineConfig(webhooks={"NOPE": "http://hook.example/cb"}), "webhook.NOPE"),
+])
+def test_config_entry_for_an_undeclared_relation_is_refused(config, key):
+    with pytest.raises(ConfigError, match=f"^{key} names no declared relation$"):
+        make_engine("RELATION R (X)", config=config)
 
 
 def test_mapped_relation_forwards_before_applying():

@@ -120,3 +120,25 @@ def test_positions_are_one_based():
     tokens = tokenize("A\n  B")
     assert (tokens[0].line, tokens[0].column) == (1, 1)
     assert (tokens[1].line, tokens[1].column) == (2, 3)
+
+
+@pytest.mark.parametrize("source, column", [("RULE A R.X > ²", 14), ("1 + ٣", 5), ("-٣", 2)])
+def test_non_ascii_digit_outside_an_identifier_is_illegal(source, column):
+    # NUMBER is ASCII digits only; '²' passes str.isdigit but not float()
+    with pytest.raises(LexError, match="illegal character") as err:
+        tokenize(source)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_non_ascii_digit_inside_an_identifier_is_part_of_it():
+    assert kinds_and_values("x٣") == [(TokenKind.IDENT, "x٣")]
+
+
+@pytest.mark.parametrize("source, message", [
+    ('R("ab\\q")', "unknown escape '\\q'"),
+    ('R("ab\\\n")', "unknown escape '\\\n'"),
+])
+def test_unknown_escape_is_reported_at_its_backslash(source, message):
+    with pytest.raises(LexError) as err:
+        tokenize(source)
+    assert (err.value.message, err.value.line, err.value.column) == (message, 1, 6)

@@ -250,6 +250,16 @@ def test_parse_errors_carry_positions():
     assert err.value.column == 17
 
 
+@pytest.mark.parametrize("source, message, position", [
+    ("RELATION R (X)\nRULE A R.X >\n", "expected an expression, got '<eof>'", (3, 1)),
+    ("RELATION R (X)\nTRIGGER (R) { R(1)", "unterminated block, expected '}'", (2, 19)),
+])
+def test_end_of_input_errors_point_just_past_the_source(source, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.message, (err.value.line, err.value.column)) == (message, position)
+
+
 def test_dangling_references_rejected_fuzz():
     # delete the declarations a rule condition depends on; the reparse of the
     # mutilated source must fail with a resolution error, never succeed
@@ -285,3 +295,34 @@ def test_parse_never_aborts_on_garbage():
         with pytest.raises((ParseError, SemanticError, Exception)) as err:
             parse_program(source)
         assert hasattr(err.value, "line")
+
+
+_FRAGMENTS = [
+    "RELATION R (X, Y)\n", "RULE A R.X > 1 { R(1, 2) }\n", "TIMER TM (100) { STOP (TM) }\n",
+    "TRIGGER (R) {", "}", "MAP MODULE M : ", "MAP RELATION R : ", "MODULE M (out)\n",
+    "ENDPOINT E (P) {", "CALL M (P)", "R(", ")", "(", ",", ";", ".", "[", "]", "{", ":",
+    "R.X", "R.X[-1]", "<=", "!=", "-", "*", "AND", "NOT", "X", "Ä", "Ölçüm_2", "x٣",
+    "1", "-7", "2.5", "²", "٣", "½", '"', '"txt"', '"a\\"', "\\", "\\n", "#", "# note\n",
+    "\r", "\n", " ", "\t", "@", "=", "http://h:8080/a?x=1",
+]
+
+
+def test_random_sources_parse_or_fail_at_a_position_inside_the_source():
+    # every diagnostic names a line that exists and a column no further than
+    # just past that line's last character; no other exception escapes
+    import random
+
+    from liot.errors import SourceError
+
+    rng = random.Random(2015)
+    failures = 0
+    for _ in range(3000):
+        source = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 12)))
+        try:
+            parse_program(source)
+        except SourceError as exc:
+            failures += 1
+            lines = source.split("\n")
+            assert 1 <= exc.line <= len(lines), (source, exc.render())
+            assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1, (source, exc.render())
+    assert 0 < failures < 3000
