@@ -1,6 +1,7 @@
 """Operator entry point: check, run, simulate, and script subcommands.
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
+A flag of ``run`` or ``script`` is the config key of the same name.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import select
 import sys
 import time
 import urllib.parse
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,70 +48,58 @@ def cmd_check(path: str) -> int:
 # -- run ------------------------------------------------------------------------
 
 
-def _apply_engine_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """--log, --window and --cascade, which run and script share; then validate."""
-    if args.log is not None:
-        config.log_path = args.log
-    if args.window is not None:
-        config.window_default = args.window
-    if args.cascade is not None:
-        config.cascade_limit = args.cascade
-    config.validate()
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file, if any, then each flag given, as the config key of that name."""
+    config = RunConfig()
+    if getattr(args, "config", None):
+        apply_config_pairs(config, read_config_file(args.config))
+    flags = {key: getattr(args, key, None) for key in ("host", "port", "log", "window", "cascade")}
+    apply_config_pairs(config, {key: value for key, value in flags.items() if value is not None})
     return config
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        apply_config_pairs(config, read_config_file(args.config))
-    if args.port is not None:
-        config.port = args.port
-    if args.host is not None:
-        config.host = args.host
-    return _apply_engine_flags(config, args)
+@contextmanager
+def serving(program, config: RunConfig):
+    """Serve ``program`` while the block runs; yields (runtime, listener URL).
+
+    Builds delivery, engine, runtime and server in that order, then starts
+    the loop (after replaying any log) and the server. Whatever was built
+    stops in reverse order, however the block or the start-up ends.
+    """
+    with ExitStack() as stack:
+        outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
+        stack.callback(outbound.close)
+        runtime = EngineRuntime(Engine(program, config=config, outbound=outbound))
+        stack.callback(runtime.shutdown)
+        try:
+            server = GatewayServer(runtime, host=config.host, port=config.port)
+        except OSError as exc:
+            raise ConfigError(f"cannot listen on {config.host}:{config.port}: {exc}") from None
+        stack.callback(server.stop)
+        if config.base_url is None:
+            config.base_url = server.base_url
+        runtime.start()
+        server.start()
+        yield runtime, server.base_url
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    runtime = None
     try:
-        config = _build_run_config(args)
-        source = Path(args.file).read_text(encoding="utf-8")
-        program = parse_program(source)
-        outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
-        engine = Engine(program, config=config, outbound=outbound)
+        config = _config(args)
+        program = parse_program(Path(args.file).read_text(encoding="utf-8"))
+        with serving(program, config) as (runtime, base_url):
+            print(f"listening on {base_url}", file=sys.stderr)
+            runtime.stopped.wait()
+    except KeyboardInterrupt:
+        pass
     except SourceError as exc:
         _diag(args.file, exc)
         return 1
-    except (ConfigError, OSError) as exc:
+    except (LiotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    runtime = EngineRuntime(engine)
-    try:
-        server = GatewayServer(runtime, host=config.host, port=config.port)
-    except OSError as exc:
-        print(f"error: cannot listen on {config.host}:{config.port}: {exc}", file=sys.stderr)
-        return 1
-    if config.base_url is None:
-        config.base_url = server.base_url
-
-    try:
-        runtime.start()  # loads the program (replaying any persistence log)
-    except LiotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        server.stop()
-        return 1
-    try:
-        server.start()
-        print(f"listening on {server.base_url}", file=sys.stderr)
-        while runtime.failure is None:
-            time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        runtime.shutdown()
-        outbound.close()
-    if runtime.failure is not None:
+    if runtime is not None and runtime.failure is not None:
         print(f"error: event loop stopped: {runtime.failure}", file=sys.stderr)
         return 1
     return 0
@@ -301,18 +291,22 @@ def load_script(path: str | Path) -> list[ScriptAction]:
 
 
 def run_script(program, actions: list[ScriptAction], config: RunConfig) -> Engine:
-    """Deterministic run under the virtual clock; returns the finished engine."""
-    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms, inline=True)
+    """Deterministic run under the virtual clock; returns the finished engine
+    once every queued ACALL and webhook has been sent."""
+    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
     engine = Engine(program, config=config, clock=VirtualClock(0), outbound=outbound)
-    engine.load()
-    for action in actions:
-        engine.advance_to(action.at)
-        if action.insert is not None:
-            relation, values = action.insert
-            engine.process_event(ExternalInsert(relation, values))
-        elif action.advance is not None:
-            engine.advance_to(action.at + action.advance)
-    engine.close()
+    try:
+        engine.load()
+        for action in actions:
+            engine.advance_to(action.at)
+            if action.insert is not None:
+                relation, values = action.insert
+                engine.process_event(ExternalInsert(relation, values))
+            elif action.advance is not None:
+                engine.advance_to(action.at + action.advance)
+        engine.close()
+    finally:
+        outbound.close()
     return engine
 
 
@@ -321,7 +315,7 @@ def cmd_script(args: argparse.Namespace) -> int:
         source = Path(args.file).read_text(encoding="utf-8")
         program = parse_program(source)
         actions = load_script(args.script)
-        config = _apply_engine_flags(RunConfig(), args)
+        config = _config(args)
     except SourceError as exc:
         _diag(args.file, exc)
         return 1
@@ -351,10 +345,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--config", help="flat key=value config file")
     p_run.add_argument("--host")
-    p_run.add_argument("--port", type=int)
+    p_run.add_argument("--port", help="0 picks a free port")
     p_run.add_argument("--log", help="persistence log path (JSON Lines)")
-    p_run.add_argument("--window", type=int, help="default window size")
-    p_run.add_argument("--cascade", type=int, help="max insert cascade depth")
+    p_run.add_argument("--window", help="default window size")
+    p_run.add_argument("--cascade", help="max insert cascade depth")
 
     p_sim = sub.add_parser("simulate", help="send synthetic sensor readings")
     p_sim.add_argument("--target", required=True, help="base URL of a running engine")
@@ -371,8 +365,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_script.add_argument("file")
     p_script.add_argument("script")
     p_script.add_argument("--log", help="persistence log path")
-    p_script.add_argument("--window", type=int)
-    p_script.add_argument("--cascade", type=int)
+    p_script.add_argument("--window")
+    p_script.add_argument("--cascade")
 
     return parser
 

@@ -1,7 +1,7 @@
 """Runtime configuration and the flat key-value config file format.
 
 The file is one ``key = value`` pair per line, ``#`` starts a comment.
-Command-line flags override file values. Recognized keys:
+A flag sets the config key of the same name, over the file. Recognized keys:
 
     host, port, window, window.<RELATION>, cascade, call_timeout_ms,
     queue, log, webhook.<RELATION>, base_url
@@ -62,11 +62,15 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _positive_int(key: str, text: str) -> int:
+def _int(key: str, text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _positive_int(key: str, text: str) -> int:
+    value = _int(key, text)
     if value < 1:
         raise ConfigError(f"{key} must be positive, got {value}")
     return value
@@ -77,7 +81,9 @@ def apply_config_pairs(config: RunConfig, pairs: dict[str, str]) -> None:
         if key == "host":
             config.host = value
         elif key == "port":
-            config.port = _positive_int(key, value)
+            config.port = _int(key, value)
+            if not 0 <= config.port <= 65535:  # 0 picks a free port
+                raise ConfigError(f"port must be in 0..65535, got {config.port}")
         elif key == "window":
             config.window_default = _positive_int(key, value)
         elif key.startswith("window."):

@@ -96,9 +96,6 @@ class Firing(NamedTuple):
     name: str
     t: int
 
-    def to_json_line(self) -> str:
-        return _FIRING_JSON % self
-
 
 def export_firing_log(firings: Iterable[Firing]) -> str:
     line = _FIRING_JSON + "\n"

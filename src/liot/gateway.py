@@ -136,42 +136,39 @@ class AsyncDelivery:
     forwards, and fire-and-forget GETs for ACALL and trigger webhooks.
 
     ``get`` calls the client on the caller's thread. For ``submit_async``,
-    ``WORKERS`` threads take deliveries from one bounded queue. Each GET
-    opens a new connection, so one worker's rate is set by the round trip to
-    the receiver; two keep up with a sustained insert rate that one falls
-    behind. A delivery is attempted at most once, and deliveries of
-    different rows may reach the receiver in either order.
+    ``WORKERS`` threads take deliveries from one bounded queue, which drops
+    a delivery with a warning when full. Each GET opens a new connection, so
+    one worker's rate is set by the round trip to the receiver; two keep up
+    with a sustained insert rate that one falls behind. A delivery is
+    attempted at most once, and deliveries of different rows may reach the
+    receiver in either order.
 
-    With ``inline=True`` (``liot script``, tests) there are no workers:
-    deliveries happen synchronously on the caller's thread, which keeps runs
-    deterministic.
+    The workers start on the first ``submit_async``, which only the engine's
+    thread calls, so a delivery that is never used runs no thread.
     """
 
     WORKERS = 2
 
-    def __init__(self, client: OutboundClient, timeout_ms: int, inline: bool = False,
-                 capacity: int = 1024):
+    def __init__(self, client: OutboundClient, timeout_ms: int, capacity: int = 1024):
         self.client = client
         self.timeout_ms = timeout_ms
-        self.inline = inline
         self.delivered = 0
         self.failed = 0
         self._count_lock = threading.Lock()
         self._queue: queue.Queue[tuple[str, list[tuple[str, str]]] | None] = queue.Queue(capacity)
-        self._workers = [] if inline else [
-            threading.Thread(target=self._run, name=f"liot-async-{i}", daemon=True)
-            for i in range(self.WORKERS)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._workers: list[threading.Thread] = []
 
     def get(self, url: str, params: list[tuple[str, str]], timeout_ms: int) -> tuple[int, bytes]:
         return self.client.get(url, params, timeout_ms)
 
     def submit_async(self, url: str, params: list[tuple[str, str]]) -> None:
-        if self.inline:
-            self._deliver(url, params)
-            return
+        if not self._workers:
+            self._workers = [
+                threading.Thread(target=self._run, name=f"liot-async-{i}", daemon=True)
+                for i in range(self.WORKERS)
+            ]
+            for worker in self._workers:
+                worker.start()
         try:
             self._queue.put_nowait((url, params))
         except queue.Full:

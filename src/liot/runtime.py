@@ -13,8 +13,8 @@ drop them.
 
 The loop is fail-stop: an exception that is not an event's own error (say an
 OSError from the persistence log) leaves the engine's state in doubt, so the
-loop records the reason in ``failure``, applies nothing more, and every later
-submit raises LoopStoppedError.
+loop records the reason in ``failure``, sets ``stopped`` for whoever waits
+on it, applies nothing more, and every later submit raises LoopStoppedError.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ class EngineRuntime:
         self._arrival_lock = threading.Lock()  # ticket order is queue order
         self._closed = False  # set by shutdown: no event may land behind Shutdown
         self.failure: str | None = None  # why the loop stopped, once it has
+        self.stopped = threading.Event()  # set with ``failure`` by the loop
         self._loop_thread: threading.Thread | None = None
 
     # -- enqueue (any thread) ----------------------------------------------
@@ -110,6 +111,7 @@ class EngineRuntime:
             except Exception as exc:  # process_event handles the event's own errors
                 self.failure = f"{type(exc).__name__}: {exc}"
                 logger.critical("event loop stopped: %s", self.failure, exc_info=True)
+                self.stopped.set()
                 ticking = False  # no more ticks, and no more waking for them
             finally:
                 if event is not None:

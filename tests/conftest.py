@@ -1,0 +1,19 @@
+import threading
+import time
+
+import pytest
+
+from .helpers import liot_threads
+
+LEAK_GRACE_SECONDS = 1.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_liot_threads():
+    """Fail a test that leaves a ``liot-*`` thread it started running."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_SECONDS
+    while liot_threads(before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert liot_threads(before) == [], "the test left these threads running"

@@ -14,13 +14,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from liot import gateway
+from liot.cli import serving
 from liot.clock import WallClock
 from liot.config import RunConfig
 from liot.engine import EndpointCall, Engine, ExternalInsert
 from liot.errors import ModuleCallError
-from liot.gateway import AsyncDelivery, GatewayServer, OutboundClient
 from liot.parser import parse_program
-from liot.runtime import EngineRuntime
 
 
 def http_get(url: str, timeout: float = 5.0) -> tuple[int, bytes]:
@@ -45,6 +44,13 @@ def module_call_error(engine: Engine, event: ExternalInsert | EndpointCall) -> M
         else:
             engine._run_endpoint(event)
     return err.value
+
+
+def liot_threads(exclude=()) -> list[str]:
+    """Names of the live ``liot-*`` threads (loop, accept loop, delivery
+    workers) not in ``exclude``; connection handler threads are unnamed."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("liot-") and t not in exclude]
 
 
 class SettableWallClock(WallClock):
@@ -150,20 +156,8 @@ def record_wire(monkeypatch) -> WireLog:
 
 @contextmanager
 def running_stack(source: str, config: RunConfig | None = None):
-    """Full engine + gateway on a free port; yields (runtime, base_url)."""
+    """The served stack of ``liot run`` on a free port; yields (runtime, base_url)."""
     config = config or RunConfig()
-    program = parse_program(source)
-    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
-    engine = Engine(program, config=config, outbound=outbound)
-    runtime = EngineRuntime(engine)
-    server = GatewayServer(runtime, host="127.0.0.1", port=0)
-    if config.base_url is None:
-        config.base_url = server.base_url
-    runtime.start()
-    server.start()
-    try:
-        yield runtime, server.base_url
-    finally:
-        server.stop()
-        runtime.shutdown()
-        outbound.close()
+    config.port = 0
+    with serving(parse_program(source), config) as stack:
+        yield stack

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -10,11 +11,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import liot.cli
+import liot.engine
 from liot.cli import SimProfile, generate_requests, load_script, main, parse_gen_spec
 from liot.config import RunConfig, apply_config_pairs, read_config_file
 from liot.errors import ConfigError
+from liot.gateway import GatewayServer
 
-from .helpers import get_json, http_get, record_wire, running_stack
+from .helpers import get_json, http_get, liot_threads, record_wire, running_stack, stub_server
 
 COMPOSITE = """
 RELATION R (MAC, RSSI)
@@ -114,6 +118,12 @@ def test_config_rejects_non_positive(tmp_path):
     path = write(tmp_path, "bad.conf", "window = 0\n")
     with pytest.raises(ConfigError):
         apply_config_pairs(RunConfig(), read_config_file(path))
+
+
+def test_config_accepts_port_zero(tmp_path):
+    config = RunConfig()
+    apply_config_pairs(config, read_config_file(write(tmp_path, "run.conf", "port = 0\n")))
+    assert config.port == 0
 
 
 # -- simulate -----------------------------------------------------------------
@@ -368,6 +378,21 @@ def test_check_script_and_run_do_not_import_the_http_stack(tmp_path):
     assert heavy_imports(stderr) == []
 
 
+def test_script_delivers_every_acall_before_it_returns(tmp_path, capsys):
+    with stub_server() as stub:
+        program = write(tmp_path, "t.liot", f"""
+RELATION R (X)
+MODULE M ()
+MAP MODULE M : {stub.url}/m
+TRIGGER (R) {{ ACALL M (R.X) }}
+""")
+        script = write(tmp_path, "s.jsonl", script_lines(
+            *({"at": i, "insert": {"rel": "R", "v": [i]}} for i in range(5))))
+        assert main(["script", program, script]) == 0
+        assert sorted(params for _, params in stub.requests) == [[("p1", str(i))] for i in range(5)]
+    assert [json.loads(line)["t"] for line in capsys.readouterr().out.splitlines()] == list(range(5))
+
+
 def test_script_rejects_bad_actions(tmp_path):
     program = write(tmp_path, "t.liot", COMPOSITE)
     bad = write(tmp_path, "bad.jsonl", '{"insert": {}}\n')
@@ -461,6 +486,83 @@ def test_script_insert_of_a_huge_integer_aborts_only_that_event(tmp_path, capsys
                for r in caplog.records)
 
 
+# -- run (in process) ---------------------------------------------------------
+
+
+def run_fails_to_start(args, capsys):
+    """main(["run", ...]) for a start that must fail: its stderr, after
+    checking that it returned 1 and left no thread of its own running."""
+    assert main(["run", *args]) == 1
+    assert liot_threads() == []
+    return capsys.readouterr().err
+
+
+def test_failed_start_on_an_undeclared_relation_leaves_nothing_running(tmp_path, capsys):
+    program = write(tmp_path, "t.liot", "RELATION R (X)")
+    config = write(tmp_path, "run.conf", "window.r = 3\n")
+    err = run_fails_to_start([program, "--port", "0", "--config", config], capsys)
+    assert err == "error: window.r names no declared relation\n"
+
+
+def test_failed_start_on_a_taken_port_leaves_nothing_running(tmp_path, capsys):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    with socket.create_server(("127.0.0.1", 0)) as blocker:
+        port = blocker.getsockname()[1]
+        err = run_fails_to_start([program, "--port", str(port)], capsys)
+    assert err == (f"error: cannot listen on 127.0.0.1:{port}: [Errno 98] Address already in use"
+                   f" (while attempting to bind on address ('127.0.0.1', {port}))\n")
+
+
+def test_failed_start_on_a_malformed_log_leaves_nothing_running(tmp_path, capsys):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    log = write(tmp_path, "run.jsonl", "not json\n")
+    err = run_fails_to_start([program, "--port", "0", "--log", log], capsys)
+    assert err == "error: log line 1: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_failed_start_on_a_log_that_cannot_be_opened_leaves_nothing_running(tmp_path, capsys):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    log = str(tmp_path / "missing" / "run.jsonl")
+    err = run_fails_to_start([program, "--port", "0", "--log", log], capsys)
+    assert err == f"error: [Errno 2] No such file or directory: {log!r}\n"
+
+
+@pytest.mark.parametrize("port, where", [("70000", "flag"), ("-1", "flag"), ("65536", "file")])
+def test_run_refuses_a_port_out_of_range(tmp_path, capsys, port, where):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    if where == "flag":
+        args = ["--port", port]
+    else:
+        args = ["--config", write(tmp_path, "run.conf", f"port = {port}\n")]
+    err = run_fails_to_start([program, *args], capsys)
+    assert err == f"error: port must be in 0..65535, got {port}\n"
+
+
+def test_interrupt_during_replay_exits_0_and_closes_everything(tmp_path, monkeypatch, capsys):
+    program = write(tmp_path, "t.liot", COMPOSITE)
+    log = write(tmp_path, "run.jsonl", '{"rel":"R","t":1,"seq":1,"v":["aa",-87]}\n')
+    servers = []
+
+    class RecordingServer(GatewayServer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            servers.append(self)
+
+    def interrupted_replay(store, path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(liot.cli, "GatewayServer", RecordingServer)
+    monkeypatch.setattr(liot.engine, "replay_log", interrupted_replay)
+    try:
+        code = main(["run", program, "--port", "0", "--log", log])
+    except KeyboardInterrupt:  # uncaught, it would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert len(servers) == 1 and servers[0].listener.fileno() == -1
+    assert liot_threads() == []
+
+
 # -- run (subprocess) ---------------------------------------------------------
 
 
@@ -518,8 +620,6 @@ def test_run_serves_and_persists_across_restart(tmp_path):
 
 
 def test_run_with_busy_port_fails_cleanly(tmp_path):
-    import socket
-
     program = write(tmp_path, "t.liot", COMPOSITE)
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))

@@ -28,7 +28,7 @@ from liot.runtime import EngineRuntime
 from liot.values import parse_query_value
 
 from .helpers import (
-    get_json, http_get, module_call_error, record_wire, running_stack, stub_server,
+    get_json, http_get, liot_threads, module_call_error, record_wire, running_stack, stub_server,
 )
 
 PROGRAM = """
@@ -680,12 +680,21 @@ ENDPOINT E ()
         assert records[0]["N"] == 5
 
 
+def test_a_delivery_closed_without_a_submit_starts_no_thread():
+    before = set(threading.enumerate())
+    delivery = AsyncDelivery(OutboundClient(), timeout_ms=5000)
+    assert liot_threads(before) == []
+    delivery.close()
+    assert set(threading.enumerate()) <= before
+
+
 def test_two_delivery_workers_deliver_every_row_and_close_drains():
     rows = 40
     with stub_server() as stub:
         delivery = AsyncDelivery(OutboundClient(), timeout_ms=5000)
+        delivery.submit_async(f"{stub.url}/hook", [("N", "0")])
         assert sum(w.is_alive() for w in delivery._workers) == AsyncDelivery.WORKERS == 2
-        for i in range(rows):
+        for i in range(1, rows):
             delivery.submit_async(f"{stub.url}/hook", [("N", str(i))])
         delivery.close()
         # close() returns only once every queued row has been delivered
@@ -828,10 +837,10 @@ def test_outbound_returns_a_redirect_instead_of_following_it(no_unclosed_sockets
 
 def call_engine(base_url: str) -> Engine:
     """A loaded engine whose endpoint E CALLs module M (no outputs) at
-    ``base_url``/m with the real client, delivering inline."""
+    ``base_url``/m with the real client."""
     source = "MODULE M ()\nMAP MODULE M : m\nENDPOINT E () { CALL M () }"
     config = RunConfig(base_url=base_url)
-    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms, inline=True)
+    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
     engine = Engine(parse_program(source), config=config, outbound=outbound)
     engine.load()
     return engine
@@ -888,7 +897,7 @@ def test_a_call_whose_reply_trickles_in_is_a_timeout_error(no_unclosed_sockets):
     with raw_stub(OK_REPLY, drip=0.05) as (base, heads):
         program = parse_program(f"MODULE M (v)\nMAP MODULE M : {base}/m\nENDPOINT E () {{ CALL M () }}")
         engine = Engine(program, config=RunConfig(call_timeout_ms=300),
-                        outbound=AsyncDelivery(OutboundClient(), 300, inline=True))
+                        outbound=AsyncDelivery(OutboundClient(), 300))
         started = time.monotonic()
         err = module_call_error(engine, EndpointCall("E", ()))
         assert time.monotonic() - started < 1.0
