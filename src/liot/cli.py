@@ -144,8 +144,6 @@ def parse_gen_spec(text: str) -> FieldGen:
         return FieldGen(field, "uniform", low=low, high=high)
     if kind == "choice":
         options = tuple(parse_query_value(part) for part in rest.split(","))
-        if not options:
-            raise ConfigError("choice needs at least one option")
         return FieldGen(field, "choice", options=options)
     raise ConfigError(f"unknown generator {kind!r}")
 

@@ -45,12 +45,13 @@ from .errors import (
     ConfigError,
     EngineRuntimeError,
     ModuleCallError,
+    ScalarError,
     UnknownNameError,
 )
 from .evaluator import Compiled, Scope, compile_expr, eval_condition
 from .parser import resolve_program
 from .store import PersistenceLog, Record, Store, replay_log
-from .values import Value, dump_json, ensure_value, value_to_param
+from .values import Value, dump_json, ensure_value, parse_query_value, type_name, value_to_param
 
 logger = logging.getLogger("liot.engine")
 
@@ -434,6 +435,11 @@ class Engine:
     def _forward_insert(self, mapping: ast.MapDecl, relation: str, values: tuple[Value, ...]) -> None:
         url = resolve_target(mapping.target, self.config.base_url).rstrip("/") + "/insert"
         params = _row_params(self._fields[relation], values)
+        for (field, text), value in zip(params, values):
+            back = parse_query_value(text)
+            if back != value:  # null, or text that reads as a number or a boolean
+                raise ScalarError(f"{relation}.{field} holds {type_name(value)} {text!r}, which "
+                                  f"{url} would read as {type_name(back)}; row not forwarded")
         status, _ = self._get(url, params, "forward to")
         if not 200 <= status < 300:
             raise ModuleCallError(

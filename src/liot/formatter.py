@@ -9,9 +9,8 @@ spaces.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from . import ast
+from .values import format_number
 
 _PRECEDENCE = {
     "OR": 1,
@@ -30,16 +29,6 @@ _PRECEDENCE = {
     "neg": 7,
 }
 _ATOM = 8
-
-
-def format_number(value: float) -> str:
-    """Digits-only rendering (the grammar has no exponent notation)."""
-    if value.is_integer():
-        return str(int(value))
-    text = repr(value)
-    if "e" in text or "E" in text:
-        text = format(Decimal(text), "f")
-    return text
 
 
 def _escape(text: str) -> str:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import LexError
+from .values import NUMBER
 
 KEYWORDS = frozenset(
     {
@@ -54,13 +55,13 @@ STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 # A string always matches from its opening quote; ``close`` is unset when the
 # literal runs into a newline, the end of input, or a backslash before either.
 _TOKEN = re.compile(
-    r"""
+    rf"""
       (?P<blank>[ \t\r\n]+|\#[^\n]*)
     | (?P<string>"(?P<body>(?:[^"\\\n]|\\.)*)(?P<close>")?)
-    | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
+    | (?P<number>{NUMBER.pattern})
     | (?P<word>\w+)
     | (?P<op><=|>=|==|!=|[<>+\-*/])
-    | (?P<punct>[(){}\[\],:.;])
+    | (?P<punct>[(){{}}\[\],:.;])
     | (?P<illegal>.)
     """,
     re.VERBOSE,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from math import isfinite
 
 from .errors import ScalarError
@@ -25,15 +26,23 @@ Value = str | float | bool | None
 # Largest integer a 64-bit float represents exactly.
 EXACT_INT_LIMIT = 2**53
 
-# What "fully numeric" means for query-string and literal text.
-NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+# GRAMMAR.md's NUMBER: the text of a number in source, in a query string and
+# in every GET this program sends.
+NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 
 def ensure_value(raw: object) -> Value:
     """Normalize a raw scalar into a Value, rejecting anything else."""
     if type(raw) is float and isfinite(raw):  # the common case, first
         return raw
-    if raw is None or isinstance(raw, (str, bool)):
+    if isinstance(raw, str):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate: no log or wire form
+                raise ScalarError(f"text with no UTF-8 form rejected: {raw!r}") from None
+        return raw
+    if raw is None or isinstance(raw, bool):
         return raw
     if isinstance(raw, (int, float)):
         try:
@@ -74,16 +83,24 @@ def value_from_json(raw: object) -> Value:
     raise ScalarError(f"not a scalar JSON value: {raw!r}")
 
 
+def format_number(value: float) -> str:
+    """The one text form of a number: NUMBER's digits, never an exponent."""
+    if value.is_integer():
+        return str(int(value))
+    text = repr(value)
+    if "e" in text:
+        text = format(Decimal(text), "f")
+    return text
+
+
 def value_to_param(value: Value) -> str:
-    """Render a value as query-parameter text (webhooks, module calls)."""
+    """Render a value as query-parameter text (forwards, webhooks, module calls)."""
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value.is_integer() and abs(value) <= EXACT_INT_LIMIT:
-            return str(int(value))
-        return repr(value)
+        return format_number(value)
     return value
 
 
@@ -97,7 +114,7 @@ def parse_query_value(text: str) -> Value:
         return True
     if text == "false":
         return False
-    if NUMBER_RE.fullmatch(text):
+    if NUMBER.fullmatch(text):
         return ensure_value(float(text))
     return text
 

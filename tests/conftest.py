@@ -1,3 +1,4 @@
+import signal
 import threading
 import time
 
@@ -6,6 +7,12 @@ import pytest
 from .helpers import liot_threads
 
 LEAK_GRACE_SECONDS = 1.0
+
+# A shell starts a background job with SIGINT ignored, and a child process
+# keeps an ignored signal ignored. Restore the handler, so that the `liot run`
+# children the tests stop with SIGINT start with SIGINT at its default.
+if signal.getsignal(signal.SIGINT) is signal.SIG_IGN:
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import signal
 import socket
@@ -17,6 +18,7 @@ from liot.cli import SimProfile, generate_requests, load_script, main, parse_gen
 from liot.config import RunConfig, apply_config_pairs, read_config_file
 from liot.errors import ConfigError
 from liot.gateway import GatewayServer
+from liot.values import parse_query_value
 
 from .helpers import get_json, http_get, liot_threads, record_wire, running_stack, stub_server
 
@@ -149,7 +151,8 @@ def test_seeded_generation_is_reproducible():
         endpoint=None,
         count=500,
         period_ms=0,
-        gens=[parse_gen_spec("MAC=constant:aa"), parse_gen_spec("RSSI=uniform:-90:-30")],
+        gens=[parse_gen_spec(spec) for spec in ("MAC=constant:aa", "RSSI=uniform:-90:-30",
+                                                 "S=uniform:0:1e-9")],
         seed=42,
     )
     first = generate_requests(profile)
@@ -159,6 +162,9 @@ def test_seeded_generation_is_reproducible():
     values = [float(dict(p)["RSSI"]) for p in first]
     assert all(-90 <= v <= -30 for v in values)
     assert len(set(values)) > 400  # actually random, not constant
+    # digits only, so the server types even a tiny draw as a number
+    tiny = [parse_query_value(dict(p)["S"]) for p in first]
+    assert all(isinstance(v, float) and 0 <= v <= 1e-9 for v in tiny)
 
 
 def test_simulate_against_running_engine(capsys, monkeypatch):
@@ -391,6 +397,20 @@ TRIGGER (R) {{ ACALL M (R.X) }}
         assert main(["script", program, script]) == 0
         assert sorted(params for _, params in stub.requests) == [[("p1", str(i))] for i in range(5)]
     assert [json.loads(line)["t"] for line in capsys.readouterr().out.splitlines()] == list(range(5))
+
+
+def test_script_refuses_text_with_no_utf8_form_and_applies_the_next_row(tmp_path, capsys, caplog):
+    program = write(tmp_path, "t.liot", "RELATION R (X)\nTRIGGER (R) {}")
+    script = write(tmp_path, "s.jsonl", script_lines(
+        {"at": 1, "insert": {"rel": "R", "v": ["\ud800"]}},
+        {"at": 2, "insert": {"rel": "R", "v": ["ok"]}}))
+    log = tmp_path / "run.jsonl"
+    with caplog.at_level(logging.ERROR, logger="liot.engine"):
+        assert main(["script", program, script, "--log", str(log)]) == 0
+    assert len(caplog.records) == 1
+    assert "ScalarError: text with no UTF-8 form rejected: '\\ud800'" in caplog.records[0].message
+    assert capsys.readouterr().out == '{"seq":1,"kind":"trigger","name":"R","t":2}\n'
+    assert log.read_text(encoding="utf-8") == '{"rel":"R","t":2,"seq":1,"v":["ok"]}\n'
 
 
 def test_script_rejects_bad_actions(tmp_path):

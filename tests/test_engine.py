@@ -464,9 +464,10 @@ ENDPOINT E () { CALL COUNTER () }
 
 def test_call_module_error_kinds():
     src = """
+RELATION OUT (V)
 MODULE M (v)
 MAP MODULE M : http://mod.example/m
-ENDPOINT E () { CALL M () }
+ENDPOINT E () { CALL M () OUT(M.v) }
 """
     for response, fragment in [
         ((500, b"{}"), "500"),
@@ -474,12 +475,14 @@ ENDPOINT E () { CALL M () }
         ((200, b"[1,2]"), "not a JSON object"),
         ((200, b'{"v": [1]}'), "not a scalar"),
         ((200, b'{"v": NaN}'), "non-finite"),
+        ((200, b'{"v": "\\ud800"}'), "ScalarError: text with no UTF-8 form rejected: '\\ud800'"),
         (TimeoutError("deadline"), "timed out"),
     ]:
         outbound = FakeOutbound({"http://mod.example/m": response})
         engine = make_engine(src, outbound=outbound)
         result = engine.process_event(EndpointCall("E", ()))
         assert result.error is not None and fragment in result.error
+        assert engine.store.size("OUT") == 0
 
 
 @pytest.mark.parametrize("src, event, what, url", [
@@ -558,7 +561,10 @@ def test_mapped_relation_forward_failure_keeps_record_out():
     ((5.0,), "ArityError: relation R takes 2 values, got 1"),
     ((5.0, 1.0, 2.0), "ArityError: relation R takes 2 values, got 3"),
     ((5.0, math.nan), "ScalarError: non-finite number rejected: nan"),
-], ids=["short row", "long row", "NaN"])
+    (("\ud800", 1.0), "ScalarError: text with no UTF-8 form rejected: '\\ud800'"),
+    (("12", 1.0), "ScalarError: R.X holds text '12', which http://b.example/r/insert "
+                  "would read as number; row not forwarded"),
+], ids=["short row", "long row", "NaN", "lone surrogate", "text that reads as a number"])
 def test_a_refused_row_of_a_mapped_relation_is_neither_forwarded_nor_logged(
         tmp_path, values, error):
     src = "RELATION R (X, Y)\nMAP RELATION R : http://b.example/r"

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from liot import ast
-from liot.formatter import format_expression, format_number, format_program
+from liot.formatter import format_expression, format_program
 from liot.parser import parse_expression, parse_program
+from liot.values import format_number
 
 from .generators import random_condition, random_program
 

@@ -3,6 +3,8 @@ import gc
 import http.client
 import json
 import logging
+import math
+import random
 import shutil
 import socket
 import ssl
@@ -21,11 +23,12 @@ import pytest
 
 from liot import gateway
 from liot.config import RunConfig
-from liot.engine import BODY_LIMIT, EndpointCall, Engine
+from liot.engine import BODY_LIMIT, EndpointCall, Engine, ExternalInsert
 from liot.gateway import AsyncDelivery, GatewayServer, OutboundClient
+from liot.lexer import tokenize
 from liot.parser import parse_program
 from liot.runtime import EngineRuntime
-from liot.values import parse_query_value
+from liot.values import NUMBER, format_number, parse_query_value, value_to_param
 
 from .helpers import (
     get_json, http_get, liot_threads, module_call_error, record_wire, running_stack, stub_server,
@@ -151,6 +154,29 @@ def test_query_value_typing():
     assert parse_query_value("TRUE") == "TRUE"
     assert parse_query_value("1e5") == "1e5"
     assert parse_query_value("") == ""
+
+
+def random_finite_doubles(rng, count):
+    """Finite doubles of every magnitude, subnormals and 1e308 included."""
+    for _ in range(count):
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(value):
+            yield value
+
+
+def test_a_value_with_a_query_form_reads_back_from_its_query_text():
+    rng = random.Random(16)
+    numbers = [*random_finite_doubles(rng, 5000), 5e-324, 1e-7, 1e20, 1e308, sys.float_info.max,
+               *(float(2**53 + rng.randint(1, 2**70)) for _ in range(200)), float(2**60)]
+    alphabet = "0123456789-.eE+ tfrualsxé:"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6))) for _ in range(2000)]
+    texts = [t for t in texts if not NUMBER.fullmatch(t) and t not in ("true", "false")]
+    for value in [*numbers, True, False, *texts]:
+        back = parse_query_value(value_to_param(value))
+        assert back == value and type(back) is type(value), value
+    for value in numbers:
+        if value >= 0:
+            assert [t.value for t in tokenize(format_number(value))] == [value]
 
 
 def test_typed_values_survive_the_wire():
@@ -637,6 +663,27 @@ def test_mapped_relation_forwards_then_applies_locally():
             assert stub.request_count("/backend/insert") == 1
             # applied locally after the 2xx forward: reads stay local
             assert get_json(f"{base}/rel/R/read")[1][0]["RSSI"] == -87
+
+
+def test_a_forwarded_row_is_stored_alike_on_both_nodes():
+    with running_stack("RELATION R (X)") as (cloud, base):
+        config = RunConfig()
+        edge = Engine(parse_program(f"RELATION R (X)\nMAP RELATION R : {base}/rel/R"),
+                      config=config, outbound=AsyncDelivery(OutboundClient(), config.call_timeout_ms))
+        edge.load()
+        sent = [1e20, 1e-7, float(2**60), 123.5, "abc", "12", "true", None]
+        errors = [edge.process_event(ExternalInsert("R", (value,))).error for value in sent]
+        edge.close()
+        cloud.wait_idle()
+        stored = {name: [(type(r.values[0]), r.values[0]) for r in engine.store.read("R", 100)]
+                  for name, engine in (("edge", edge), ("cloud", cloud.engine))}
+    assert errors[:5] == [None] * 5
+    assert errors[5:] == [
+        f"ScalarError: R.X holds {kind} {text!r}, which {base}/rel/R/insert would read as "
+        f"{back}; row not forwarded"
+        for kind, text, back in [("text", "12", "number"), ("text", "true", "boolean"),
+                                 ("null", "null", "text")]]
+    assert stored["edge"] == stored["cloud"] == [(type(v), v) for v in reversed(sent[:5])]
 
 
 def test_mapped_relation_forward_failure_drops_record():

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -264,6 +265,28 @@ def test_whole_last_record_without_newline_is_replayed_and_given_one(tmp_path):
     path.write_text(lines, encoding="utf-8")
     assert replay_log(make_store(), path) == 2
     assert path.read_text(encoding="utf-8") == lines + "\n"
+
+
+def test_every_byte_prefix_of_a_log_replays_its_whole_records(tmp_path):
+    # a crash can stop an append after any byte, inside a character too
+    rng = random.Random(12)
+    store = make_store()
+    lines, snapshots = [], [store.snapshot()]
+    for t in range(40):
+        text = rng.choice(["38:E7:D8:D3:18:68", "été", "温度計", "🙂", 'quo"te'])
+        relation, row = rng.choice([("R", (text, float(rng.randint(-99, 0)))), ("Q", (text,))])
+        lines.append((log_line(relation, store.insert(relation, row, t=t)) + "\n").encode())
+        snapshots.append(store.snapshot())
+    data = b"".join(lines)
+    ends = [total - 1 for total in accumulate(map(len, lines))]  # where each newline sits
+    path = tmp_path / "run.jsonl"
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        replayed = make_store()
+        whole = sum(end <= cut for end in ends)  # complete lines, or a record missing its newline
+        assert replay_log(replayed, path) == whole, cut
+        assert path.read_bytes() == b"".join(lines[:whole]), cut
+        assert replayed.snapshot() == snapshots[whole] and replayed.next_seq == whole + 1, cut
 
 
 def test_unterminated_bad_record_is_still_refused(tmp_path):
