@@ -15,9 +15,9 @@ every insert; equality of the two firing logs is the correctness contract for
 the index.
 
 The engine resolves the program it is given (so one built as a syntax tree
-is checked too), then compiles rule conditions and statements into closures;
-the names they mention (rules, timers, modules) are looked up when they run,
-except a module's declared outputs, which are bound when the CALL is compiled.
+is checked too), then compiles its conditions and statement rows to generated
+functions (``evaluator``). A statement looks up the rule, timer or module it
+names when it runs; a CALL's declared outputs are bound when it is compiled.
 
 The engine owns the timer rule for both clocks: ``run_due_timers`` ticks the
 timers due now. Under the wall clock the runtime's loop only asks
@@ -48,7 +48,7 @@ from .errors import (
     ScalarError,
     UnknownNameError,
 )
-from .evaluator import Compiled, Scope, compile_expr, eval_condition
+from .evaluator import Condition, Row, Scope, compile_functions, eval_condition
 from .parser import resolve_program
 from .store import PersistenceLog, Record, Store, replay_log
 from .values import Value, dump_json, ensure_value, parse_query_value, type_name, value_to_param
@@ -118,8 +118,8 @@ Step = Callable[[Scope], None]
 @dataclass
 class RuleState:
     decl: ast.RuleDecl
-    condition: Compiled
-    body: tuple[Step, ...]
+    condition: Condition
+    body: list[Step]
     active: bool = True
     depends_on: frozenset[str] = frozenset()
 
@@ -127,7 +127,7 @@ class RuleState:
 @dataclass
 class TimerState:
     decl: ast.TimerDecl
-    body: tuple[Step, ...]
+    body: list[Step]
     running: bool = True
     next_fire: int = 0
 
@@ -199,38 +199,39 @@ class Engine:
         )
         self._fields = {r.name: r.fields for r in program.relations}
         self._module_outputs = {m.name: m.outputs for m in program.modules}
-        compile_block = self._compile_block
-        self.rule_states: list[RuleState] = [
-            RuleState(
-                decl=r,
-                condition=compile_expr(r.condition),
-                body=compile_block(r.body),
-                depends_on=frozenset(ast.relations_mentioned(r.condition)),
-            )
-            for r in program.rules
-        ]
-        self._rules_by_name = {rs.decl.name: rs for rs in self.rule_states}
-        # alpha layer: relation -> rules mentioning it, declaration order.
-        # A rule mentioning no relation at all is treated as depending on
-        # every relation, which keeps it equivalent to the naive scan.
-        self.dependency_index: dict[str, list[RuleState]] = {
-            r.name: [] for r in program.relations
-        }
-        for rs in self.rule_states:
-            targets = rs.depends_on or self.dependency_index.keys()
-            for relation in targets:
-                if relation in self.dependency_index:
-                    self.dependency_index[relation].append(rs)
-
+        # Blocks first: each statement with a row records where its step
+        # goes, and one compile then makes every condition and row.
+        unbound: list[tuple[list[Step], int, tuple[ast.Expression, ...]]] = []
+        compile_block = partial(self._compile_block, unbound)
+        rule_bodies = [compile_block(r.body) for r in program.rules]
         self.timer_states: dict[str, TimerState] = {
             t.name: TimerState(decl=t, body=compile_block(t.body)) for t in program.timers
         }
-
         self._endpoints_by_name = {
             e.name: (e.params, compile_block(e.body)) for e in program.endpoints
         }
         self._trigger_bodies = {t.relation: compile_block(t.body) for t in program.triggers}
         self._top_level = compile_block(program.top_level_statements)
+        conditions, rows = compile_functions(self.store.windows,
+                                             [r.condition for r in program.rules],
+                                             [args for _, _, args in unbound])
+        for (steps, i, _), row in zip(unbound, rows):
+            steps[i] = partial(steps[i], row)
+        self.rule_states: list[RuleState] = [
+            RuleState(decl=r, condition=condition, body=body,
+                      depends_on=frozenset(ast.relations_mentioned(r.condition)))
+            for r, condition, body in zip(program.rules, conditions, rule_bodies)
+        ]
+        self._rules_by_name = {rs.decl.name: rs for rs in self.rule_states}
+        # alpha layer: relation -> rules mentioning it, declaration order.
+        # A rule mentioning no relation at all is treated as depending on
+        # every relation, which keeps it equivalent to the naive scan. The
+        # resolver proved that every relation a condition mentions is declared.
+        self.dependency_index: dict[str, list[RuleState]] = {r.name: [] for r in program.relations}
+        for rs in self.rule_states:
+            for relation in rs.depends_on or self.dependency_index:
+                self.dependency_index[relation].append(rs)
+
         self._relation_maps = {m.name: m for m in program.mappings if m.kind == "relation"}
         self._module_maps = {m.name: m for m in program.mappings if m.kind == "module"}
 
@@ -326,7 +327,7 @@ class Engine:
             return  # a tick of a stopped timer does nothing
         self._run_block(ts.body, {})
 
-    def _run_block(self, body: tuple[Step, ...], scope: Scope) -> None:
+    def _run_block(self, body: list[Step], scope: Scope) -> None:
         for step in body:
             step(scope)
 
@@ -341,12 +342,17 @@ class Engine:
 
     # -- statements ---------------------------------------------------------
 
-    def _compile_block(self, body: ast.Block) -> tuple[Step, ...]:
-        return tuple(self._compile_statement(stmt) for stmt in body)
+    def _compile_block(self, unbound: list, body: ast.Block) -> list[Step]:
+        """The block's steps. The step of an INSERT, CALL or ACALL still lacks
+        its row: it goes on ``unbound``, and ``__init__`` binds the row last."""
+        steps = [self._compile_statement(stmt) for stmt in body]
+        unbound += [(steps, i, stmt.args) for i, stmt in enumerate(body)
+                    if isinstance(stmt, (ast.Insert, ast.CallModule, ast.AcallModule))]
+        return steps
 
     def _compile_statement(self, stmt: ast.Statement) -> Step:
         if isinstance(stmt, ast.Insert):
-            return partial(self._insert, stmt.relation, tuple(map(compile_expr, stmt.args)))
+            return partial(self._insert, stmt.relation)
         if isinstance(stmt, ast.StartTimer):
             return partial(self._set_running, stmt.name, True)
         if isinstance(stmt, ast.StopTimer):
@@ -359,14 +365,13 @@ class Engine:
             return partial(self._check_rule, stmt.rule)
         if isinstance(stmt, ast.CallModule):
             outputs = self._module_outputs[stmt.name]
-            args = tuple(map(compile_expr, stmt.args))
-            return partial(self._call_module, stmt.name, outputs, args)
+            return partial(self._call_module, stmt.name, outputs)
         if isinstance(stmt, ast.AcallModule):
-            return partial(self._acall_module, stmt.name, tuple(map(compile_expr, stmt.args)))
+            return partial(self._acall_module, stmt.name)
         raise AssertionError(f"unhandled statement {stmt!r}")
 
-    def _insert(self, relation: str, args: tuple[Compiled, ...], scope: Scope) -> None:
-        values = tuple([arg(self.store, scope) for arg in args])
+    def _insert(self, relation: str, row: Row, scope: Scope) -> None:
+        values = row(scope)
         self._enter_cascade("insert")
         self._do_insert(relation, values)
         self._cascade_depth -= 1
@@ -401,7 +406,7 @@ class Engine:
             if not rs.active:
                 continue
             self.condition_evaluations += 1
-            if eval_condition(rs.condition, self.store, {}) is True:
+            if eval_condition(rs.condition) is True:
                 self._fire_rule(rs, record.seq, record.t)
 
     def _fire_rule(self, rs: RuleState, seq: int, t: int) -> None:
@@ -412,8 +417,7 @@ class Engine:
         """CHECK is an explicit command: it ignores the active flag."""
         rs = self._rules_by_name[name]
         self.condition_evaluations += 1
-        outcome = eval_condition(rs.condition, self.store, {})
-        if outcome is True:
+        if eval_condition(rs.condition) is True:
             seq = self.store.next_seq - 1  # latest record overall, 0 if none
             self._event_firings.append(Firing(seq, "rule", name, self.clock.now_ms()))
             self._enter_cascade("check")
@@ -446,27 +450,20 @@ class Engine:
                 "http-status", f"forward to {url} returned {status}, record not applied"
             )
 
-    def _module_request(
-        self, name: str, args: tuple[Compiled, ...], scope: Scope
-    ) -> tuple[str, list[tuple[str, str]]]:
+    def _module_request(self, name: str, row: Row,
+                        scope: Scope) -> tuple[str, list[tuple[str, str]]]:
         """URL and ``p1..pn`` parameters of a CALL or ACALL."""
         mapping = self._module_maps.get(name)
         if mapping is None:
             raise ModuleCallError("target", f"module {name} has no mapping")
-        values = [arg(self.store, scope) for arg in args]
+        values = row(scope)
         url = resolve_target(mapping.target, self.config.base_url)
         return url, [(f"p{i}", value_to_param(v)) for i, v in enumerate(values, 1)]
 
-    def _call_module(
-        self,
-        name: str,
-        outputs: tuple[str, ...],
-        args: tuple[Compiled, ...],
-        scope: Scope,
-    ) -> None:
+    def _call_module(self, name: str, outputs: tuple[str, ...], row: Row, scope: Scope) -> None:
         """GET the module and bind exactly the declared outputs of its JSON
         reply into the scope as ``NAME.output``."""
-        url, params = self._module_request(name, args, scope)
+        url, params = self._module_request(name, row, scope)
         status, body = self._get(url, params, "module call")
         if status != 200:
             raise ModuleCallError("http-status", f"module call {url} returned {status}")
@@ -492,8 +489,8 @@ class Engine:
                 raise ModuleCallError("malformed-body", f"output {output!r} is not a scalar")
             scope[f"{name}.{output}"] = ensure_value(raw)
 
-    def _acall_module(self, name: str, args: tuple[Compiled, ...], scope: Scope) -> None:
-        self.outbound.submit_async(*self._module_request(name, args, scope))
+    def _acall_module(self, name: str, row: Row, scope: Scope) -> None:
+        self.outbound.submit_async(*self._module_request(name, row, scope))
 
     # -- timers ---------------------------------------------------------------
 
@@ -554,11 +551,11 @@ class NaiveEngine(Engine):
                 continue
             self.condition_evaluations += 1
             if not rs.depends_on or relation in rs.depends_on:
-                if eval_condition(rs.condition, self.store, {}) is True:
+                if eval_condition(rs.condition) is True:
                     self._fire_rule(rs, record.seq, record.t)
             else:
                 try:
-                    eval_condition(rs.condition, self.store, {})
+                    eval_condition(rs.condition)
                 except EngineRuntimeError:
                     pass
 

@@ -1,4 +1,4 @@
-"""Expression evaluation against a store snapshot and a block scope.
+"""Expressions compiled to generated Python functions.
 
 Typing is dynamic and strict: arithmetic wants numbers, NOT wants a boolean,
 ordering comparisons want two values of the same orderable type. Equality is
@@ -7,33 +7,28 @@ AND/OR evaluate left to right and short-circuit, so an unavailable field
 reference on the right is never touched once the left side decides. Every
 other binary operator evaluates both operands before checking their types.
 
-An expression is compiled once into a closure ``fn(store, scope)``; the
-engine compiles every rule condition and statement argument when a program
-is loaded, so no event walks a syntax tree. Field reads go through
-``Store.latest``. The resolver checked every field reference and literal when
-the engine was built; only what depends on the data (history, types, scope
-names, arithmetic) is checked on each evaluation.
+An engine compiles its rule conditions and statement rows once, to one
+generated Python source, as ``dataclasses`` builds its methods. Each node is
+a few statements that leave its value in a local, so no chain of operators
+nests; a field read indexes a window's records and type checks are inline
+statements. The source holds only indices, operators and the names of values
+passed in, never a relation name, scope name or literal of the program.
 """
 
 from __future__ import annotations
 
-import math
-import operator
-from typing import Callable
+from itertools import count
+from math import isfinite
+from operator import index
+from typing import Callable, NoReturn, Sequence
 
 from . import ast
-from .errors import (
-    DivisionByZeroError,
-    EvalTypeError,
-    HistoryUnavailableError,
-    UnknownNameError,
-    ScalarError,
-)
-from .store import Store
+from .errors import (DivisionByZeroError, EngineRuntimeError, EvalTypeError,
+                     HistoryUnavailableError, ScalarError, UnknownNameError)
+from .store import RelationWindow
 from .values import Value, type_name
 
 Scope = dict[str, Value]
-Compiled = Callable[[Store, Scope], Value]
 
 
 class _Unavailable:
@@ -45,130 +40,180 @@ class _Unavailable:
 
 UNAVAILABLE = _Unavailable()
 
-_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# A condition takes no scope, since a rule has none, and returns True, False,
+# or UNAVAILABLE when a window lacks the history it reads, so that a freshly
+# started program does not fail before its sensors have reported. A row takes
+# the block's scope and returns the values of an INSERT, CALL or ACALL.
+Condition = Callable[[], "bool | _Unavailable"]
+Row = Callable[[Scope], tuple[Value, ...]]
+
+# What a failed check raises, by the name the generated source gives ``_fail``.
+_FAILURES: dict[str, Callable[..., EngineRuntimeError]] = {
+    "boolean": lambda op, v: EvalTypeError(f"{op} needs a boolean, got {type_name(v)}"),
+    "number": lambda op, v: EvalTypeError(f"{op} needs a number, got {type_name(v)}"),
+    "numbers": lambda op, a, b: _FAILURES["number"](op, b if type(a) is float else a),
+    "zero": lambda: DivisionByZeroError("division by zero"),
+    "finite": lambda: ScalarError("arithmetic produced a non-finite number"),
+    "compare": lambda o, a, b: EvalTypeError(f"cannot compare {type_name(a)} {o} {type_name(b)}"),
+    "condition": lambda v: EvalTypeError(f"condition evaluated to {type_name(v)}, not boolean"),
+    "name": lambda name: UnknownNameError(f"unknown name {name}"),
+    "history": lambda w, offset: HistoryUnavailableError(
+        f"{w.decl.name} holds {len(w.records)} records, offset {offset} reaches past the window"),
+}
 
 
-def _wrong_type(op: str, wanted: str, value: Value) -> EvalTypeError:
-    return EvalTypeError(f"{op} needs {wanted}, got {type_name(value)}")
+def _fail(failure: str, *values: object) -> NoReturn:
+    raise _FAILURES[failure](*values)
 
 
-def compile_expr(expr: ast.Expression) -> Compiled:
-    if isinstance(expr, ast.FieldRef):
-        relation, field, offset = expr.relation, expr.field, expr.offset
-        return lambda store, scope: store.latest(relation, field, offset)
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda store, scope: value
-    if isinstance(expr, ast.ScopeRef):
-        name = expr.name
-
-        def scope_ref(store: Store, scope: Scope) -> Value:
-            try:
-                return scope[name]
-            except KeyError:
-                raise UnknownNameError(f"unknown name {name}") from None
-
-        return scope_ref
-    if isinstance(expr, ast.Unary):
-        return _compile_unary(expr.op, compile_expr(expr.operand))
-    if isinstance(expr, ast.Binary):
-        return _compile_binary(expr.op, compile_expr(expr.left), compile_expr(expr.right))
-    raise AssertionError(f"unhandled expression {expr!r}")
+# A right operand of AND or OR is indented one level under its left; this
+# deep, it becomes a function of its own, as CPython refuses more than 100
+# levels of indentation.
+_MAX_INDENT = 50
 
 
-def _compile_unary(op: str, operand: Compiled) -> Compiled:
-    if op == "NOT":
+class _Generator:
+    """Writes the source of one program's functions.
 
-        def negation(store: Store, scope: Scope) -> Value:
-            value = operand(store, scope)
-            if value is True or value is False:
-                return not value
-            raise _wrong_type("NOT", "a boolean", value)
+    Each node becomes statements that leave its value in a local, so that a
+    long chain of operators nests nothing. A function names the values it
+    reads (windows, literals, scope names) K0, K1, ... in order, and is
+    written inside a factory that takes them, so that functions differing
+    only in those values, as a family of generated rules does, share one
+    text that is compiled once."""
 
-        return negation
+    def __init__(self, windows: dict[str, RelationWindow]):
+        self.windows = windows
+        self.factories: dict[str, tuple[str, int]] = {}  # text -> factory name, arity
+        self.made: list[tuple[str, list[object]]] = []  # per function: factory, values
+        self.params = ""  # "S" while writing rows, which read the block's scope
 
-    def minus(store: Store, scope: Scope) -> Value:
-        value = operand(store, scope)
-        if type(value) is float:
-            return -value  # the negation of a finite number is finite
-        raise _wrong_type("unary -", "a number", value)
+    def bind(self, value: object) -> str:
+        """The name of a value in the function being written."""
+        self.values.append(value)
+        return f"K{len(self.values) - 1}"
 
-    return minus
+    def start(self) -> None:
+        self.values: list[object] = []
+        self.names = count()
+        self.nested: list[str] = []  # functions the one being written calls
+
+    def finish(self, lines: list[str]) -> None:
+        """Files the function ``f`` under the factory of its text."""
+        text = "".join(f" {line}\n" for line in self.nested + lines)
+        name, _ = self.factories.setdefault(text, (f"m{len(self.factories)}", len(self.values)))
+        self.made.append((name, self.values))
+
+    def condition(self, node: ast.Expression) -> None:
+        """Missing history makes a condition return UNAVAILABLE."""
+        self.start()
+        lines = ["def f():", " try:"]
+        v = self.emit(node, lines, "  ")
+        self.check_boolean(node, v, "'condition'", lines, "  ")
+        self.finish(lines + [f"  return {v}", " except IndexError:", "  return UNAVAILABLE"])
+
+    def row(self, nodes: Sequence[ast.Expression]) -> None:
+        """Missing history makes a row raise."""
+        self.start()
+        lines = ["def f(S):"]
+        values = [self.emit(node, lines, " ") for node in nodes]
+        self.finish(lines + [f" return ({''.join(v + ',' for v in values)})"])
+
+    def emit(self, node: ast.Expression, lines: list[str], pad: str) -> str:
+        """Appends the statements that compute ``node``, each indented by
+        ``pad``, and gives the name that holds its value. Operands are
+        computed left first, and both before their types are checked, except
+        that AND and OR compute the right one only when the left does not
+        decide."""
+        if isinstance(node, ast.Literal):
+            return self.bind(node.value)
+        v = f"v{next(self.names)}"
+        if isinstance(node, ast.FieldRef):
+            window = self.windows[node.relation]
+            w, offset = self.bind(window), index(node.offset)  # 0 reads the newest record
+            if self.params:
+                lines.append(f"{pad}if len({w}.records) < {1 - offset}: "
+                             f"_fail('history', {w}, {offset})")
+            record = f"{w}.records[{offset - 1}]"
+            read = (f"float({record}.t)" if node.field == "T"
+                    else f"{record}.values[{window.decl.fields.index(node.field)}]")
+            lines.append(f"{pad}{v} = {read}")
+        elif isinstance(node, ast.ScopeRef):
+            name = self.bind(node.name)
+            found = f"S[{name}] if {name} in S else " if self.params else ""  # a rule has no scope
+            lines.append(f"{pad}{v} = {found}_fail('name', {name})")
+        elif isinstance(node, ast.Unary):
+            x = self.emit(node.operand, lines, pad)
+            if node.op == "NOT":
+                self.check_boolean(node.operand, x, "'boolean', 'NOT'", lines, pad)
+                lines.append(f"{pad}{v} = not {x}")
+            else:  # the negation of a finite number is finite
+                lines.append(f"{pad}if type({x}) is not float: _fail('number', 'unary -', {x})")
+                lines.append(f"{pad}{v} = -{x}")
+        elif isinstance(node, ast.Binary) and node.op in ("AND", "OR"):
+            a = self.emit(node.left, lines, pad)
+            failure = f"'boolean', {node.op!r}"
+            self.check_boolean(node.left, a, failure, lines, pad)
+            inner = pad + " "
+            lines += [f"{pad}{v} = {a}", f"{pad}if {'' if node.op == 'AND' else 'not '}{a}:"]
+            if len(inner) < _MAX_INDENT:
+                b = self.emit(node.right, lines, inner)
+            else:  # the right operand in a function of its own, called here
+                call, body = f"g{next(self.names)}({self.params})", []
+                result = self.emit(node.right, body, " ")
+                self.nested += [f"def {call}:", *body, f" return {result}"]
+                b = f"v{next(self.names)}"
+                lines.append(f"{inner}{b} = {call}")
+            self.check_boolean(node.right, b, failure, lines, inner)
+            lines.append(f"{inner}{v} = {b}")
+        elif isinstance(node, ast.Binary):
+            op = node.op
+            a, b = self.emit(node.left, lines, pad), self.emit(node.right, lines, pad)
+            if op in ast.ARITHMETIC_OPS:
+                lines.append(f"{pad}if type({a}) is not float or type({b}) is not float: "
+                             f"_fail('numbers', {op!r}, {a}, {b})")
+                if op == "/":
+                    lines.append(f"{pad}if not {b}: _fail('zero')")
+                lines += [f"{pad}{v} = {a} {op} {b}", f"{pad}if not isfinite({v}): _fail('finite')"]
+            elif op == "==" or op == "!=":
+                same = f"(type({a}) is type({b}) and {a} == {b})"
+                lines.append(f"{pad}{v} = {same if op == '==' else 'not ' + same}")
+            else:
+                lines.append(f"{pad}if type({a}) is not type({b}) or {a} is None: "
+                             f"_fail('compare', {op!r}, {a}, {b})")
+                lines.append(f"{pad}{v} = {a} {op} {b}")
+        else:
+            raise AssertionError(f"unhandled expression {node!r}")
+        return v
+
+    def check_boolean(self, node: ast.Expression, v: str, failure: str, lines: list[str],
+                      pad: str) -> None:
+        """Unless ``node`` gives a boolean whatever the data, a check that its
+        value ``v`` is one, calling ``_fail(failure, v)`` when it is not."""
+        if not (isinstance(node, ast.Unary) and node.op == "NOT" or
+                isinstance(node, ast.Binary) and node.op not in ast.ARITHMETIC_OPS):
+            lines.append(f"{pad}if type({v}) is not bool: _fail({failure}, {v})")
 
 
-def _compile_binary(op: str, left: Compiled, right: Compiled) -> Compiled:
-    if op == "AND" or op == "OR":
-        decides = op == "OR"  # the left value that settles the result alone
-        continues = not decides
-
-        def connective(store: Store, scope: Scope) -> Value:
-            a = left(store, scope)
-            if a is decides:
-                return a
-            if a is not continues:
-                raise _wrong_type(op, "a boolean", a)
-            b = right(store, scope)
-            if b is True or b is False:
-                return b
-            raise _wrong_type(op, "a boolean", b)
-
-        return connective
-    if op == "==" or op == "!=":
-        differs = op == "!="
-
-        def equality(store: Store, scope: Scope) -> Value:
-            a = left(store, scope)
-            b = right(store, scope)
-            return (type(a) is type(b) and a == b) is not differs
-
-        return equality
-    if op in _ORDERINGS:
-        compare = _ORDERINGS[op]
-
-        def ordering(store: Store, scope: Scope) -> Value:
-            a = left(store, scope)
-            b = right(store, scope)
-            if type(a) is not type(b) or a is None:
-                raise EvalTypeError(f"cannot compare {type_name(a)} {op} {type_name(b)}")
-            return compare(a, b)
-
-        return ordering
-    if op in _ARITHMETIC:
-        apply = _ARITHMETIC[op]
-        isfinite = math.isfinite
-
-        def arithmetic(store: Store, scope: Scope) -> Value:
-            a = left(store, scope)
-            b = right(store, scope)
-            if type(a) is not float:
-                raise _wrong_type(op, "a number", a)
-            if type(b) is not float:
-                raise _wrong_type(op, "a number", b)
-            try:
-                result = apply(a, b)
-            except ZeroDivisionError:
-                raise DivisionByZeroError("division by zero") from None
-            if isfinite(result):
-                return result
-            raise ScalarError("arithmetic produced a non-finite number")
-
-        return arithmetic
-    raise AssertionError(f"unhandled operator {op!r}")
+def compile_functions(windows: dict[str, RelationWindow], conditions: Sequence[ast.Expression],
+                      rows: Sequence[Sequence[ast.Expression]]
+                      ) -> tuple[list[Condition], list[Row]]:
+    """From one compiled source, a function per condition and one per row, in
+    the order given; all of them read the given windows."""
+    generator = _Generator(windows)
+    for node in conditions:
+        generator.condition(node)
+    generator.params = "S"
+    for row in rows:
+        generator.row(row)
+    source = "".join(f"def {name}({', '.join(f'K{i}' for i in range(arity))}):\n{text} return f\n"
+                     for text, (name, arity) in generator.factories.items())
+    namespace = {"_fail": _fail, "UNAVAILABLE": UNAVAILABLE, "isfinite": isfinite}
+    exec(compile(source, "<liot program>", "exec"), namespace)
+    functions = [namespace[name](*values) for name, values in generator.made]
+    return functions[:len(conditions)], functions[len(conditions):]
 
 
-def eval_condition(condition: Compiled, store: Store, scope: Scope) -> bool | _Unavailable:
-    """Rule-condition evaluation: missing history suppresses the rule.
-
-    ``condition`` is what ``compile_expr`` made of a syntax tree. Returns
-    True, False, or UNAVAILABLE. Type errors still raise; only the
-    window-not-filled-yet case is silenced, so a freshly started program does
-    not fail before its sensors have reported.
-    """
-    try:
-        result = condition(store, scope)
-    except HistoryUnavailableError:
-        return UNAVAILABLE
-    if result is True or result is False:
-        return result
-    raise EvalTypeError(f"condition evaluated to {type_name(result)}, not boolean")
+def eval_condition(condition: Condition) -> bool | _Unavailable:
+    """One evaluation of a rule's condition: the call bench/tracer.py counts."""
+    return condition()

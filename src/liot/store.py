@@ -13,6 +13,7 @@ not be logged is never seen.
 ``insert`` and ``latest`` trust their arguments: the engine runs ``check`` on
 each insert from outside, and the resolver proved every statement's row and
 every field read. Only the history a read reaches for is checked each time.
+The engine's compiled conditions and rows (``evaluator``) read windows alike.
 """
 
 from __future__ import annotations
@@ -55,11 +56,7 @@ class RelationWindow:
             raise ValueError(f"window capacity must be positive, got {capacity}")
         self.decl = decl
         self.capacity = capacity
-        self.positions = {field: decl.fields.index(field) for field in decl.fields}
         self.records: deque[Record] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _arity_error(relation: str, expected: int, got: int) -> ArityError:
@@ -70,8 +67,8 @@ class Store:
     """All relation windows of one run.
 
     Only the engine's event loop writes, and it writes under ``lock``. Reads
-    on the loop thread (``latest``, which conditions and statement arguments
-    use) take no lock, since nothing else writes. HTTP readers (``read``,
+    on the loop thread (the engine's conditions and rows, ``latest``) take no
+    lock, since nothing else writes. HTTP readers (``read``,
     ``snapshot``, ``size``) take the lock, so they never observe a
     half-applied insert.
     """
@@ -110,21 +107,18 @@ class Store:
         relation: str,
         values: tuple[Value, ...],
         t: int,
-        seq: int | None = None,
         log: PersistenceLog | None = None,
     ) -> Record:
         """Append one record of checked values; with a ``log``, the record is
         written there first, and the store is unchanged when that write raises."""
         window = self.windows[relation]
-        next_seq = self.next_seq  # only the writing thread changes it
-        if seq is None:
-            seq = next_seq
+        seq = self.next_seq  # only the writing thread changes it
         record = Record(t, seq, values)
         if log is not None:
             log.append(relation, record)
         with self.lock:
             window.records.append(record)  # evicts the oldest at capacity
-            self.next_seq = (seq if seq > next_seq else next_seq) + 1
+            self.next_seq = seq + 1
         return record
 
     def latest(self, relation: str, field: str, offset: int = 0) -> Value:
@@ -141,7 +135,7 @@ class Store:
             ) from None
         if field == "T":
             return float(record.t)
-        return record.values[window.positions[field]]
+        return record.values[window.decl.fields.index(field)]
 
     def read(self, relation: str, limit: int) -> list[Record]:
         """Newest-first prefix of the window, at most ``limit`` records; a
@@ -154,7 +148,7 @@ class Store:
 
     def size(self, relation: str) -> int:
         with self.lock:
-            return len(self.window(relation))
+            return len(self.window(relation).records)
 
     def snapshot(self) -> dict[str, list[Record]]:
         """Deep-comparable copy of every window plus the seq counter."""
@@ -270,7 +264,7 @@ def replay_log(store: Store, path: str | Path) -> int:
             except (LiotError, OverflowError) as exc:  # OverflowError: float() of a huge integer
                 raise ReplayError(f"log line {line_number}: {exc}", line_number) from None
             tails[relation].append(Record(t, seq, tuple(values)))
-            next_seq = (seq if seq > next_seq else next_seq) + 1  # as Store.insert
+            next_seq = (seq if seq > next_seq else next_seq) + 1  # past every seq seen
             count += 1
         if raw and not raw.endswith(b"\n"):
             if torn or not line:  # blank counts as torn: it is not one JSON value

@@ -607,9 +607,16 @@ def start_run(args):
 
 
 def stop_run(process):
+    """Stop ``liot run`` with SIGINT and return its exit code. A child that
+    does not stop within 10 s is killed and reaped before the timeout
+    propagates, so the test fails without leaving it running."""
     process.send_signal(signal.SIGINT)
     try:
         return process.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+        raise
     finally:
         process.stdout.close()
         process.stderr.close()

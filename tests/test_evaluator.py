@@ -12,7 +12,8 @@ from liot.errors import (
     UnknownNameError,
     ScalarError,
 )
-from liot.evaluator import UNAVAILABLE, compile_expr, eval_condition
+from liot.evaluator import UNAVAILABLE, compile_functions, eval_condition
+from liot.parser import parse_expression
 from liot.store import Store
 
 R = ast.RelationDecl("R", ("MAC", "RSSI"))
@@ -27,14 +28,20 @@ def store_with(*rssi_values, window=1024):
 
 
 def evaluate(expr, store, scope):
-    return compile_expr(expr)(store, scope)
+    """An expression evaluated as the one value of a statement's row."""
+    return compile_functions(store.windows, [], [(expr,)])[1][0](scope)[0]
+
+
+def condition(expr, store):
+    return compile_functions(store.windows, [expr], [])[0][0]
 
 
 # -- an independent reference evaluator ------------------------------------------
 #
 # Deliberately different shape from the production one: no exceptions, every
 # step returns ('ok', value) or ('err', kind). Only the *kind* of error is
-# compared, never messages.
+# compared, except that missing history carries the message ``Store.latest``
+# gives, which a statement's row must raise word for word.
 
 
 def ref_eval(expr, store, scope):
@@ -43,8 +50,8 @@ def ref_eval(expr, store, scope):
     if isinstance(expr, FieldRef):
         try:
             return ("ok", store.latest(expr.relation, expr.field, expr.offset))
-        except HistoryUnavailableError:
-            return ("err", "history")
+        except HistoryUnavailableError as exc:
+            return ("err", f"history: {exc}")
     if isinstance(expr, ScopeRef):
         if expr.name in scope:
             return ("ok", scope[expr.name])
@@ -115,11 +122,41 @@ _ERROR_KINDS = {
 }
 
 
-def production_outcome(expr, store, scope):
+def outcome(call):
+    """('ok', repr of the result) or ('err', kind) as the reference gives
+    them; repr tells 1.0 from True and -0.0 from 0.0."""
     try:
-        return ("ok", evaluate(expr, store, scope))
+        return ("ok", repr(call()))
     except tuple(_ERROR_KINDS) as exc:
-        return ("err", _ERROR_KINDS[type(exc)])
+        kind = _ERROR_KINDS[type(exc)]
+        return ("err", f"{kind}: {exc}" if kind == "history" else kind)
+
+
+def ref_outcome(expr, store, scope):
+    status, value = ref_eval(expr, store, scope)
+    return (status, repr(value)) if status == "ok" else (status, value)
+
+
+def ref_row(exprs, store, scope):
+    values = []
+    for expr in exprs:
+        status, value = ref_eval(expr, store, scope)
+        if status == "err":
+            return (status, value)
+        values.append(value)
+    return ("ok", repr(tuple(values)))
+
+
+def ref_condition(expr, store):
+    """A rule has no scope, and missing history makes it UNAVAILABLE."""
+    status, value = ref_eval(expr, store, {})
+    if status == "err":
+        return ("ok", "UNAVAILABLE") if value.startswith("history") else (status, value)
+    return ("ok", repr(value)) if type(value) is bool else ("err", "type")
+
+
+def production_outcome(expr, store, scope):
+    return outcome(lambda: evaluate(expr, store, scope))
 
 
 # -- example-driven cases ---------------------------------------------------------
@@ -188,13 +225,13 @@ def test_short_circuit_skips_unavailable_history():
 def test_condition_on_empty_window_is_unavailable():
     store = store_with()
     cond = Binary("<", FieldRef("R", "RSSI"), Literal(-60.0))
-    assert eval_condition(compile_expr(cond), store, {}) is UNAVAILABLE
+    assert eval_condition(condition(cond, store)) is UNAVAILABLE
 
 
 def test_condition_with_insufficient_history_is_unavailable():
     store = store_with(-87)
     cond = Binary("<", FieldRef("R", "RSSI", -1), Literal(-60.0))
-    assert eval_condition(compile_expr(cond), store, {}) is UNAVAILABLE
+    assert eval_condition(condition(cond, store)) is UNAVAILABLE
 
 
 def test_condition_two_records_hand_trace():
@@ -205,20 +242,20 @@ def test_condition_two_records_hand_trace():
         Binary("<", FieldRef("R", "RSSI"), Literal(-60.0)),
         Binary("<", FieldRef("R", "RSSI", -1), Literal(-60.0)),
     )
-    assert eval_condition(compile_expr(cond), store, {}) is False
+    assert eval_condition(condition(cond, store)) is False
 
 
 def test_condition_type_error_still_raises():
     store = store_with(-87)
     cond = Binary("AND", Binary("<", FieldRef("R", "RSSI"), Literal(-60.0)), Literal(5.0))
     with pytest.raises(EvalTypeError):
-        eval_condition(compile_expr(cond), store, {})
+        eval_condition(condition(cond, store))
 
 
 def test_condition_non_boolean_result_raises():
     store = store_with(-87)
     with pytest.raises(EvalTypeError):
-        eval_condition(compile_expr(FieldRef("R", "RSSI")), store, {})
+        eval_condition(condition(FieldRef("R", "RSSI"), store))
 
 
 # -- randomized equivalence with the reference evaluator ---------------------------
@@ -246,19 +283,87 @@ def random_expr(rng, depth):
     return Binary(op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
 
 
-def test_random_equivalence_with_reference_evaluator():
-    rng = random.Random(4242)
+def random_store(newest_n=0.0):
     store = Store([R, Q], window_default=4)
     store.insert("R", ("aa", -87.0), t=1000)
     store.insert("R", ("bb", -50.0), t=1001)
     store.insert("Q", (3.0, "abc", True), t=1002)
-    store.insert("Q", (0.0, "", False), t=1003)
+    store.insert("Q", (newest_n, "", False), t=1003)
+    return store
+
+
+def test_random_equivalence_with_reference_evaluator():
+    rng = random.Random(4242)
+    store = random_store()
     scope = {"x": 2.0, "y": "text"}
     for i in range(10000):
         expr = random_expr(rng, rng.randint(1, 4))
-        expected = ref_eval(expr, store, scope)
+        expected = ref_outcome(expr, store, scope)
         got = production_outcome(expr, store, scope)
         assert got == expected, f"case {i}: {expr}"
+
+
+def test_conditions_and_rows_compiled_as_one_program_match_the_reference():
+    """Many functions from one source, as an engine compiles its program:
+    conditions against the reference with no scope, and rows of one to three
+    values, with the exact message of missing history. Q.N holds a number
+    near the float maximum, so that arithmetic can overflow."""
+    rng = random.Random(17)
+    store = random_store(newest_n=1e308)
+    scope = {"x": 2.0, "y": "text"}
+    conditions = [random_expr(rng, rng.randint(1, 4)) for _ in range(3000)]
+    rows = [tuple(random_expr(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3)))
+            for _ in range(3000)]
+    compiled_conditions, compiled_rows = compile_functions(store.windows, conditions, rows)
+    got_conditions = [outcome(lambda: eval_condition(c)) for c in compiled_conditions]
+    for i, (expr, got) in enumerate(zip(conditions, got_conditions)):
+        assert got == ref_condition(expr, store), f"condition {i}: {expr}"
+    got_rows = [outcome(lambda: compiled_rows[i](scope)) for i in range(len(rows))]
+    for i, (row, got) in enumerate(zip(rows, got_rows)):
+        assert got == ref_row(row, store, scope), f"row {i}: {row}"
+    # both ways of meeting missing history, and an overflow, were drawn
+    assert ("ok", "UNAVAILABLE") in got_conditions
+    assert ("err", "history: R holds 2 records, offset -2 reaches past the window") in got_rows
+    assert ("err", "finite") in got_rows
+
+
+def test_long_and_deep_expressions_compile_and_match_the_reference():
+    """Chains of any length compile, as the parser builds them in a loop: a
+    mean of 150 field reads, OR and AND chains of 300 comparisons, and an
+    AND/OR alternation nested 120 deep on the right, past the 100 levels of
+    indentation CPython accepts. Each runs as a condition and as a row."""
+    terms = " + ".join(("R.RSSI", "R.RSSI[-1]")[k % 2] for k in range(150))
+    nested = Binary(">", FieldRef("R", "RSSI"), Literal(0.0))
+    for k in range(120):  # no left operand decides, so every level runs
+        op, bound = ("AND", -1000.0) if k % 2 else ("OR", 1000.0)
+        nested = Binary(op, Binary(">", FieldRef("R", "RSSI"), Literal(bound)), nested)
+    exprs = [parse_expression(f"({terms}) / 150 < -60"),
+             parse_expression(" OR ".join(f"R.RSSI > {k}" for k in range(299)) + " OR R.RSSI < 0"),
+             parse_expression(" AND ".join(f"R.RSSI < {k}" for k in range(299))
+                              + " AND R.RSSI[-2] < 0"),
+             nested]
+    store, scope = random_store(), {}
+    conditions, rows = compile_functions(store.windows, exprs, [(e,) for e in exprs])
+    got = [outcome(lambda: eval_condition(c)) for c in conditions]
+    assert got == [ref_condition(e, store) for e in exprs]
+    assert got == [("ok", "True"), ("ok", "True"), ("ok", "UNAVAILABLE"), ("ok", "False")]
+    got = [outcome(lambda: row(scope)) for row in rows]
+    assert got == [ref_row((e,), store, scope) for e in exprs]
+    assert got[2] == ("err", "history: R holds 2 records, offset -2 reaches past the window")
+
+
+def test_functions_that_differ_only_in_values_share_one_text():
+    """Conditions or rows of one shape, as a generated family of rules has,
+    are compiled once; each function still reads its own window and
+    constants."""
+    store = random_store()
+    conditions, rows = compile_functions(
+        store.windows, [parse_expression("R.RSSI < -60"), parse_expression('Q.S < "b"')],
+        [(Literal("a"), FieldRef("R", "RSSI")), (Literal("b"), FieldRef("Q", "S"))])
+    assert [eval_condition(c) for c in conditions] == [False, True]
+    assert [row({}) for row in rows] == [("a", -50.0), ("b", "")]
+    assert conditions[0].__code__ is conditions[1].__code__
+    assert rows[0].__code__ is rows[1].__code__
 
 
 def test_evaluation_is_deterministic():
@@ -268,3 +373,28 @@ def test_evaluation_is_deterministic():
     first = [production_outcome(e, store, {"x": 1.0}) for e in exprs]
     second = [production_outcome(e, store, {"x": 1.0}) for e in exprs]
     assert first == second
+
+
+@pytest.mark.parametrize("text", [
+    "'", '"', "'''", '"""', "\\", "\\'", "a\nb", "\r\n", "x\\\n)", "{0}{v1}{K12}", "%s%d",
+    "\x00 ", "'); __import__('os').system('exit 3'); ('", '" + __import__("sys").exit(3) + "',
+])
+def test_program_text_comes_back_as_data(text):
+    """Literals, scope names, relation names and field names never become code."""
+    odd = ast.RelationDecl(f"R{text}", (f"F{text}",))
+    store = Store([odd], window_default=2)
+    store.insert(odd.name, (text,), t=5)
+    literal, name, field = Literal(text), ScopeRef(text), FieldRef(odd.name, f"F{text}")
+    conditions, rows = compile_functions(
+        store.windows,
+        [Binary("==", field, literal), Binary("<", literal, field), Binary("==", literal, name)],
+        [(literal, name, field, FieldRef(odd.name, "T")), (FieldRef(odd.name, f"F{text}", -1),)])
+    assert eval_condition(conditions[0]) is True
+    assert eval_condition(conditions[1]) is False
+    with pytest.raises(UnknownNameError) as unknown:
+        eval_condition(conditions[2])
+    assert str(unknown.value) == f"unknown name {text}"
+    assert rows[0]({text: 1.0}) == (text, 1.0, text, 5.0)
+    with pytest.raises(HistoryUnavailableError) as missing:
+        rows[1]({})
+    assert str(missing.value) == f"R{text} holds 1 records, offset -1 reaches past the window"

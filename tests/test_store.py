@@ -352,12 +352,14 @@ def write_random_log(rng, path, records, increasing=True):
 
 
 def insert_each_logged_record(store, path):
-    """What replay means: every logged record inserted in log order."""
+    """What replay means: every logged record appended to its window in log
+    order, and the seq counter moved past every seq seen."""
     for line in path.read_text(encoding="utf-8").split("\n"):  # not at U+2028
         if line.strip():
             entry = json.loads(line)
-            values = [value_from_json(v) for v in entry["v"]]
-            store.insert(entry["rel"], tuple(values), t=entry["t"], seq=entry["seq"])
+            values = tuple(value_from_json(v) for v in entry["v"])
+            store.windows[entry["rel"]].records.append(Record(entry["t"], entry["seq"], values))
+            store.next_seq = max(store.next_seq, entry["seq"]) + 1
 
 
 @pytest.mark.parametrize("increasing", [True, False], ids=["increasing seqs", "seqs out of order"])
