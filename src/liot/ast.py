@@ -71,6 +71,25 @@ COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
 ARITHMETIC_OPS = ("+", "-", "*", "/")
 BOOLEAN_OPS = ("AND", "OR")
 
+# How tightly each operator binds, loosest first; the parser and the formatter
+# both read it. "NOT" and "neg" (unary minus) are prefix operators, the rest
+# binary ones.
+PRECEDENCE = {"OR": 1, "AND": 2, "NOT": 3, **dict.fromkeys(COMPARISON_OPS, 4),
+              "+": 5, "-": 5, "*": 6, "/": 6, "neg": 7}
+
+# The deepest expression the parser accepts, counting each operand, operator
+# and pair of parentheses on the way down; every later stage walks a tree
+# this deep within CPython's default recursion limit.
+MAX_DEPTH = 400
+
+
+def gives_boolean(expr: Expression) -> bool:
+    """Whether ``expr`` gives a boolean whatever the data: NOT, a comparison,
+    AND or OR."""
+    if isinstance(expr, Unary):
+        return expr.op == "NOT"
+    return isinstance(expr, Binary) and expr.op not in ARITHMETIC_OPS
+
 
 # --- statements --------------------------------------------------------------
 

@@ -197,7 +197,6 @@ class Engine:
             window_default=self.config.window_default,
             window_overrides=self.config.window_overrides,
         )
-        self._fields = {r.name: r.fields for r in program.relations}
         self._module_outputs = {m.name: m.outputs for m in program.modules}
         # Blocks first: each statement with a row records where its step
         # goes, and one compile then makes every condition and row.
@@ -210,7 +209,7 @@ class Engine:
         self._endpoints_by_name = {
             e.name: (e.params, compile_block(e.body)) for e in program.endpoints
         }
-        self._trigger_bodies = {t.relation: compile_block(t.body) for t in program.triggers}
+        triggers = {t.relation: compile_block(t.body) for t in program.triggers}
         self._top_level = compile_block(program.top_level_statements)
         conditions, rows = compile_functions(self.store.windows,
                                              [r.condition for r in program.rules],
@@ -232,7 +231,12 @@ class Engine:
             for relation in rs.depends_on or self.dependency_index:
                 self.dependency_index[relation].append(rs)
 
-        self._relation_maps = {m.name: m for m in program.mappings if m.kind == "relation"}
+        # per relation, what an insert does besides storing the row: its
+        # fields, then its MAP RELATION, webhook URL and trigger body or None
+        forwards = {m.name: m for m in program.mappings if m.kind == "relation"}
+        webhooks = self.config.webhooks
+        self._on_insert = {r.name: (r.fields, forwards.get(r.name), webhooks.get(r.name),
+                                    triggers.get(r.name)) for r in program.relations}
         self._module_maps = {m.name: m for m in program.mappings if m.kind == "module"}
 
         # Full history by default; EngineRuntime, which serves indefinitely,
@@ -386,15 +390,13 @@ class Engine:
         self._rules_by_name[name].active = active
 
     def _do_insert(self, relation: str, values: tuple[Value, ...]) -> Record:
-        mapping = self._relation_maps.get(relation)
+        fields, mapping, webhook, trigger = self._on_insert[relation]
         if mapping is not None:
-            self._forward_insert(mapping, relation, values)
+            self._forward_insert(mapping, relation, fields, values)
         record = self.store.insert(relation, values, t=self.clock.now_ms(), log=self.persistence)
-        webhook = self.config.webhooks.get(relation)
         if webhook is not None:
-            params = _row_params(self._fields[relation], record.values)
+            params = _row_params(fields, record.values)
             self.outbound.submit_async(webhook, [("T", str(record.t))] + params)
-        trigger = self._trigger_bodies.get(relation)
         if trigger is not None:
             self._event_firings.append(Firing(record.seq, "trigger", relation, record.t))
             self._run_block(trigger, {})
@@ -436,9 +438,10 @@ class Engine:
         except OSError as exc:
             raise ModuleCallError("transport", f"{what} {url} failed: {exc}") from exc
 
-    def _forward_insert(self, mapping: ast.MapDecl, relation: str, values: tuple[Value, ...]) -> None:
+    def _forward_insert(self, mapping: ast.MapDecl, relation: str, fields: tuple[str, ...],
+                        values: tuple[Value, ...]) -> None:
         url = resolve_target(mapping.target, self.config.base_url).rstrip("/") + "/insert"
-        params = _row_params(self._fields[relation], values)
+        params = _row_params(fields, values)
         for (field, text), value in zip(params, values):
             back = parse_query_value(text)
             if back != value:  # null, or text that reads as a number or a boolean

@@ -190,8 +190,7 @@ class _Generator:
                       pad: str) -> None:
         """Unless ``node`` gives a boolean whatever the data, a check that its
         value ``v`` is one, calling ``_fail(failure, v)`` when it is not."""
-        if not (isinstance(node, ast.Unary) and node.op == "NOT" or
-                isinstance(node, ast.Binary) and node.op not in ast.ARITHMETIC_OPS):
+        if not ast.gives_boolean(node):
             lines.append(f"{pad}if type({v}) is not bool: _fail({failure}, {v})")
 
 

@@ -12,24 +12,6 @@ from __future__ import annotations
 from . import ast
 from .values import format_number
 
-_PRECEDENCE = {
-    "OR": 1,
-    "AND": 2,
-    "NOT": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "==": 4,
-    "!=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "neg": 7,
-}
-_ATOM = 8
-
 
 def _escape(text: str) -> str:
     out = text.replace("\\", "\\\\").replace('"', '\\"')
@@ -47,15 +29,9 @@ def format_literal(value) -> str:
     return _escape(value)
 
 
-def _precedence(expr: ast.Expression) -> int:
-    if isinstance(expr, ast.Binary):
-        return _PRECEDENCE[expr.op]
-    if isinstance(expr, ast.Unary):
-        return _PRECEDENCE["NOT" if expr.op == "NOT" else "neg"]
-    return _ATOM
-
-
-def format_expression(expr: ast.Expression) -> str:
+def format_expression(expr: ast.Expression, floor: int = 0) -> str:
+    """The text of ``expr``, in parentheses when its operator binds less
+    tightly than ``floor`` (``ast.PRECEDENCE``) so that it parses back whole."""
     if isinstance(expr, ast.Literal):
         return format_literal(expr.value)
     if isinstance(expr, ast.ScopeRef):
@@ -64,29 +40,22 @@ def format_expression(expr: ast.Expression) -> str:
         suffix = f"[{expr.offset}]" if expr.offset != 0 else ""
         return f"{expr.relation}.{expr.field}{suffix}"
     if isinstance(expr, ast.Unary):
+        level = ast.PRECEDENCE["NOT" if expr.op == "NOT" else "neg"]
         if expr.op == "NOT":
-            inner = _child(expr.operand, minimum=_PRECEDENCE["NOT"])
-            return f"NOT {inner}"
-        # a negated number literal must be parenthesized: -(5) is negation,
-        # -5 would re-lex as one literal token
-        if isinstance(expr.operand, ast.Literal):
-            return f"-({format_expression(expr.operand)})"
-        return f"-{_child(expr.operand, minimum=_PRECEDENCE['neg'])}"
-    if isinstance(expr, ast.Binary):
-        own = _PRECEDENCE[expr.op]
-        if expr.op in ast.COMPARISON_OPS:
-            left = _child(expr.left, minimum=own + 1)
-            right = _child(expr.right, minimum=own + 1)
+            text = f"NOT {format_expression(expr.operand, level)}"
+        elif isinstance(expr.operand, ast.Literal):
+            # -(5) is negation, -5 would re-lex as one literal token
+            text = f"-({format_expression(expr.operand)})"
         else:
-            left = _child(expr.left, minimum=own)
-            right = _child(expr.right, minimum=own + 1)
-        return f"{left} {expr.op} {right}"
-    raise AssertionError(f"unhandled expression {expr!r}")
-
-
-def _child(expr: ast.Expression, minimum: int) -> str:
-    text = format_expression(expr)
-    return text if _precedence(expr) >= minimum else f"({text})"
+            text = f"-{format_expression(expr.operand, level)}"
+    elif isinstance(expr, ast.Binary):
+        level = ast.PRECEDENCE[expr.op]
+        # comparisons do not chain, so neither operand may be one unparenthesized
+        left = format_expression(expr.left, level + (expr.op in ast.COMPARISON_OPS))
+        text = f"{left} {expr.op} {format_expression(expr.right, level + 1)}"
+    else:
+        raise AssertionError(f"unhandled expression {expr!r}")
+    return f"({text})" if level < floor else text
 
 
 def _format_args(args: tuple[ast.Expression, ...]) -> str:
@@ -141,9 +110,9 @@ def format_program(program: ast.Program) -> str:
         _format_block(timer.body, lines)
     for rule in program.rules:
         condition = format_expression(rule.condition)
-        if condition.startswith("-"):
-            # after the rule-name identifier a leading minus would lex as an
-            # operator, turning a negative literal into a unary node
+        if condition[:1] == "-" and condition[1:2].isdigit():
+            # after the rule-name identifier the minus of a negative literal
+            # would lex as an operator, turning the literal into a unary node
             condition = f"({condition})"
         lines.append(f"RULE {rule.name} {condition}")
         _format_block(rule.body, lines)

@@ -2,7 +2,9 @@
 
 The grammar lives in GRAMMAR.md. Every item is self-delimiting, so newlines
 never reach the parser and ``;`` tokens are skipped as optional separators
-between items and between statements inside a block.
+between items and between statements inside a block. Expressions are parsed
+by precedence climbing over ``ast.PRECEDENCE``, no deeper than
+``ast.MAX_DEPTH``.
 
 Parsing happens in two passes: a purely syntactic pass builds the tree, then a
 resolution pass checks every name against the declaration tables and rewrites
@@ -13,6 +15,7 @@ references. ``Engine`` resolves its program too, for one built as a tree.
 from __future__ import annotations
 
 from math import isfinite
+from typing import NoReturn
 
 from . import ast
 from .errors import ParseError, SemanticError
@@ -26,6 +29,9 @@ _SIMPLE_STATEMENTS = {
     "CHECK": ast.Check,
 }
 
+# the prefix operators, by token, as keys of ast.PRECEDENCE
+_PREFIXES = {"NOT": "NOT", "-": "neg"}
+
 
 class _Parser:
     def __init__(self, source: str):
@@ -34,6 +40,7 @@ class _Parser:
         column = len(source) - source.rfind("\n")
         self.tokens = tokenize(source) + [Token(TokenKind.EOF, "<eof>", line, column)]
         self.pos = 0
+        self.depth = 0  # see parse_expression
 
     def current(self) -> Token:
         return self.tokens[self.pos]
@@ -304,78 +311,61 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expression(self) -> ast.Expression:
-        return self.parse_or()
+    def parse_expression(self, floor: int = 1) -> ast.Expression:
+        """An expression of operators that bind at least as tightly as
+        ``floor`` (``ast.PRECEDENCE``), by precedence climbing: a prefix
+        operator or a parenthesis parses its operand at its own level, and a
+        run of binary operators builds its left-leaning chain in a loop.
 
-    def parse_or(self) -> ast.Expression:
-        left = self.parse_and()
-        while self.at(TokenKind.KEYWORD, "OR"):
-            self.advance()
-            left = ast.Binary("OR", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> ast.Expression:
-        left = self.parse_not()
-        while self.at(TokenKind.KEYWORD, "AND"):
-            self.advance()
-            left = ast.Binary("AND", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> ast.Expression:
-        if self.at(TokenKind.KEYWORD, "NOT"):
-            self.advance()
-            return ast.Unary("NOT", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ast.Expression:
-        left = self.parse_additive()
+        ``self.depth`` is the depth of the node the expression hangs under;
+        on return it is that depth plus the height of the tree built, a pair
+        of parentheses counting as one level."""
+        top = self.depth
         token = self.current()
-        if token.kind is TokenKind.OP and token.value in ast.COMPARISON_OPS:
+        self.deepen(top + 1, token)
+        prefix = (_PREFIXES.get(token.value)  # type: ignore[arg-type]
+                  if token.kind in (TokenKind.KEYWORD, TokenKind.OP) else None)
+        if prefix is not None and ast.PRECEDENCE[prefix] >= floor:
             self.advance()
-            right = self.parse_additive()
-            after = self.current()
-            if after.kind is TokenKind.OP and after.value in ast.COMPARISON_OPS:
-                raise ParseError(
-                    "comparisons are non-associative; parenthesize to chain them",
-                    after.line,
-                    after.column,
-                )
-            return ast.Binary(token.value, left, right)  # type: ignore[arg-type]
-        return left
-
-    def parse_additive(self) -> ast.Expression:
-        left = self.parse_multiplicative()
-        while self.current().kind is TokenKind.OP and self.current().value in ("+", "-"):
-            op = self.advance().value
-            left = ast.Binary(op, left, self.parse_multiplicative())  # type: ignore[arg-type]
-        return left
-
-    def parse_multiplicative(self) -> ast.Expression:
-        left = self.parse_unary()
-        while self.current().kind is TokenKind.OP and self.current().value in ("*", "/"):
-            op = self.advance().value
-            left = ast.Binary(op, left, self.parse_unary())  # type: ignore[arg-type]
-        return left
-
-    def parse_unary(self) -> ast.Expression:
-        if self.at(TokenKind.OP, "-"):
+            operand = self.parse_expression(ast.PRECEDENCE[prefix])
+            left: ast.Expression = ast.Unary(token.value, operand)  # type: ignore[arg-type]
+        elif self.at(TokenKind.PUNCT, "("):
             self.advance()
-            return ast.Unary("-", self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> ast.Expression:
-        token = self.current()
-        if token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
-            self.advance()
-            return ast.Literal(token.value)  # type: ignore[arg-type]
-        if token.kind is TokenKind.IDENT:
-            return self.parse_name_ref()
-        if self.at(TokenKind.PUNCT, "("):
-            self.advance()
-            inner = self.parse_expression()
+            left = self.parse_expression()
             self.expect(TokenKind.PUNCT, ")")
-            return inner
-        raise ParseError(f"expected an expression, got {token.value!r}", token.line, token.column)
+        elif token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
+            left = ast.Literal(self.advance().value)  # type: ignore[arg-type]
+        elif token.kind is TokenKind.IDENT:
+            left = self.parse_name_ref()
+        else:
+            raise ParseError(f"expected an expression, got {token.value!r}",
+                             token.line, token.column)
+        while True:
+            token = self.current()
+            binary = (token.kind is TokenKind.OP
+                      or token.kind is TokenKind.KEYWORD and token.value in ast.BOOLEAN_OPS)
+            level = ast.PRECEDENCE[token.value] if binary else 0  # type: ignore[index]
+            if level < floor:
+                return left
+            self.advance()
+            self.deepen(self.depth + 1, token)  # the new node over the left operand
+            reach, self.depth = self.depth, top + 1
+            right = self.parse_expression(level + 1)
+            self.depth = max(self.depth, reach)
+            left = ast.Binary(token.value, left, right)  # type: ignore[arg-type]
+            after = self.current()
+            if token.value in ast.COMPARISON_OPS and after.kind is TokenKind.OP \
+                    and after.value in ast.COMPARISON_OPS:
+                raise ParseError("comparisons are non-associative; parenthesize to chain them",
+                                 after.line, after.column)
+
+    def deepen(self, depth: int, token: Token) -> None:
+        """Moves to a node at ``depth``; past ``ast.MAX_DEPTH`` that is a
+        ParseError at ``token``, before any later stage recurses that deep."""
+        if depth > ast.MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {ast.MAX_DEPTH} levels",
+                             token.line, token.column)
+        self.depth = depth
 
 
 # -- resolution & validation ----------------------------------------------------
@@ -391,7 +381,7 @@ class _Resolver:
         self.rules = {d.name for d in program.rules}
         self.modules = {d.name: d for d in program.modules}
 
-    def fail(self, message: str, pos: ast.Pos) -> None:
+    def fail(self, message: str, pos: ast.Pos) -> NoReturn:
         raise SemanticError(message, pos.line, pos.column)
 
     def run(self) -> ast.Program:
@@ -428,7 +418,7 @@ class _Resolver:
             seen_trigger_relations.add(trigger.relation)
             triggers.append(
                 ast.TriggerDecl(
-                    trigger.relation, self.resolve_block(trigger.body, trigger.pos), trigger.pos
+                    trigger.relation, self.resolve_block(trigger.body), trigger.pos
                 )
             )
 
@@ -445,13 +435,13 @@ class _Resolver:
                 ast.EndpointDecl(
                     endpoint.name,
                     endpoint.params,
-                    self.resolve_block(endpoint.body, endpoint.pos),
+                    self.resolve_block(endpoint.body),
                     endpoint.pos,
                 )
             )
 
         timers = [
-            ast.TimerDecl(t.name, t.interval_ms, self.resolve_block(t.body, t.pos), t.pos)
+            ast.TimerDecl(t.name, t.interval_ms, self.resolve_block(t.body), t.pos)
             for t in p.timers
         ]
 
@@ -459,7 +449,7 @@ class _Resolver:
         for rule in p.rules:
             condition = self.resolve_condition(rule.condition, rule)
             rules.append(
-                ast.RuleDecl(rule.name, condition, self.resolve_block(rule.body, rule.pos), rule.pos)
+                ast.RuleDecl(rule.name, condition, self.resolve_block(rule.body), rule.pos)
             )
 
         for mapping in p.mappings:
@@ -505,7 +495,6 @@ class _Resolver:
                 return ast.ScopeRef(f"{expr.relation}.{expr.field}")
             self.fail(f"unknown relation {expr.relation}", pos)
         self.fail("statement arguments must be literals or names", pos)
-        raise AssertionError("unreachable")
 
     def check_field(self, ref: ast.FieldRef, pos: ast.Pos) -> None:
         decl = self.relations[ref.relation]
@@ -537,19 +526,11 @@ class _Resolver:
                     f"rule {rule.name}: unknown name {node.name} in condition (rules have no scope)",
                     rule.pos,
                 )
-        root = expr
-        statically_boolean = (
-            isinstance(root, ast.Binary)
-            and root.op in ast.COMPARISON_OPS + ast.BOOLEAN_OPS
-            or isinstance(root, ast.Unary)
-            and root.op == "NOT"
-            or isinstance(root, ast.FieldRef)
-        )
-        if not statically_boolean:
+        if not (ast.gives_boolean(expr) or isinstance(expr, ast.FieldRef)):
             self.fail(f"rule {rule.name}: condition is not boolean-valued", rule.pos)
         return expr
 
-    def resolve_block(self, block: ast.Block, pos: ast.Pos) -> ast.Block:
+    def resolve_block(self, block: ast.Block) -> ast.Block:
         return tuple(self.resolve_statement(s) for s in block)
 
     def resolve_statement(self, stmt: ast.Statement) -> ast.Statement:
@@ -557,7 +538,6 @@ class _Resolver:
             decl = self.relations.get(stmt.relation)
             if decl is None:
                 self.fail(f"insert into unknown relation {stmt.relation}", stmt.pos)
-                raise AssertionError("unreachable")
             if len(stmt.args) != len(decl.fields):
                 self.fail(
                     f"relation {stmt.relation} takes {len(decl.fields)} values, got {len(stmt.args)}",

@@ -326,3 +326,57 @@ def test_random_sources_parse_or_fail_at_a_position_inside_the_source():
             assert 1 <= exc.line <= len(lines), (source, exc.render())
             assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1, (source, exc.render())
     assert 0 < failures < 3000
+
+
+# -- the depth bound ----------------------------------------------------------------
+
+# A rule condition of each shape whose tree, counting a pair of parentheses as
+# a level, is ``depth`` deep; the parser refuses one level more than
+# ast.MAX_DEPTH, so that no later stage (resolver, engine compile, formatter)
+# recurses past CPython's default limit.
+DEEP_CONDITIONS = {
+    "parentheses": lambda depth: "(" * (depth - 2) + "R.X > 0" + ")" * (depth - 2),
+    "NOT": lambda depth: "NOT " * (depth - 2) + "R.X > 0",
+    "unary minus": lambda depth: "R.X > " + "-" * (depth - 2) + "R.X",
+    "OR chain": lambda depth: " OR ".join(["R.X > 0"] * (depth - 1)),
+    "+ chain": lambda depth: " + ".join(["R.X"] * (depth - 1)) + " > 0",
+}
+
+
+def deep_program(shape, depth):
+    return f"RELATION R (X)\nRULE A {DEEP_CONDITIONS[shape](depth)}\n{{\n}}\n"
+
+
+@pytest.mark.parametrize("shape", DEEP_CONDITIONS)
+def test_a_condition_at_the_depth_bound_goes_through_every_stage(shape):
+    # the text is compared, as dataclass equality recurses past the limit here
+    from liot.engine import Engine
+    from liot.formatter import format_program
+
+    program = parse_program(deep_program(shape, ast.MAX_DEPTH))
+    Engine(program)
+    text = format_program(program)
+    assert format_program(parse_program(text)) == text
+
+
+@pytest.mark.parametrize("shape", DEEP_CONDITIONS)
+def test_a_condition_past_the_depth_bound_is_a_positioned_parse_error(shape):
+    source = deep_program(shape, ast.MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match=f"nested deeper than {ast.MAX_DEPTH}") as err:
+        parse_program(source)
+    assert err.value.line == 2
+    assert 1 <= err.value.column <= len(source.split("\n")[1])
+
+
+@pytest.mark.parametrize("shape", DEEP_CONDITIONS)
+def test_check_reports_a_too_deep_condition_in_one_line(tmp_path, shape):
+    import subprocess
+    import sys
+
+    path = tmp_path / "deep.liot"
+    path.write_text(deep_program(shape, ast.MAX_DEPTH + 1), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "liot", "check", str(path)],
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"{path}:2:") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
