@@ -76,6 +76,8 @@ BOOLEAN_OPS = ("AND", "OR")
 # binary ones.
 PRECEDENCE = {"OR": 1, "AND": 2, "NOT": 3, **dict.fromkeys(COMPARISON_OPS, 4),
               "+": 5, "-": 5, "*": 6, "/": 6, "neg": 7}
+# The key in PRECEDENCE of each prefix operator (Unary.op).
+PREFIXES = {"NOT": "NOT", "-": "neg"}
 
 # The deepest expression the parser accepts, counting each operand, operator
 # and pair of parentheses on the way down; every later stage walks a tree

@@ -40,11 +40,12 @@ def format_expression(expr: ast.Expression, floor: int = 0) -> str:
         suffix = f"[{expr.offset}]" if expr.offset != 0 else ""
         return f"{expr.relation}.{expr.field}{suffix}"
     if isinstance(expr, ast.Unary):
-        level = ast.PRECEDENCE["NOT" if expr.op == "NOT" else "neg"]
+        level = ast.PRECEDENCE[ast.PREFIXES[expr.op]]
         if expr.op == "NOT":
             text = f"NOT {format_expression(expr.operand, level)}"
         elif isinstance(expr.operand, ast.Literal):
-            # -(5) is negation, -5 would re-lex as one literal token
+            # -(5) is negation, -5 would re-lex as one literal token; the
+            # parser gives a lone literal's parentheses no level of depth
             text = f"-({format_expression(expr.operand)})"
         else:
             text = f"-{format_expression(expr.operand, level)}"
@@ -111,9 +112,11 @@ def format_program(program: ast.Program) -> str:
     for rule in program.rules:
         condition = format_expression(rule.condition)
         if condition[:1] == "-" and condition[1:2].isdigit():
-            # after the rule-name identifier the minus of a negative literal
-            # would lex as an operator, turning the literal into a unary node
-            condition = f"({condition})"
+            # the condition opens with a negative literal, whose minus would
+            # lex as an operator after the rule name; in parentheses it stays
+            # a literal at no cost in depth
+            literal, space, rest = condition.partition(" ")
+            condition = f"({literal}){space}{rest}"
         lines.append(f"RULE {rule.name} {condition}")
         _format_block(rule.body, lines)
     for module in program.modules:

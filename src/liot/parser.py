@@ -29,9 +29,6 @@ _SIMPLE_STATEMENTS = {
     "CHECK": ast.Check,
 }
 
-# the prefix operators, by token, as keys of ast.PRECEDENCE
-_PREFIXES = {"NOT": "NOT", "-": "neg"}
-
 
 class _Parser:
     def __init__(self, source: str):
@@ -40,7 +37,6 @@ class _Parser:
         column = len(source) - source.rfind("\n")
         self.tokens = tokenize(source) + [Token(TokenKind.EOF, "<eof>", line, column)]
         self.pos = 0
-        self.depth = 0  # see parse_expression
 
     def current(self) -> Token:
         return self.tokens[self.pos]
@@ -180,7 +176,7 @@ class _Parser:
     def parse_rule(self) -> ast.RuleDecl:
         start = self.advance()
         name = self.parse_ident("a rule name")
-        condition = self.parse_expression()
+        condition, _ = self.parse_expression()
         body = self.parse_block()
         return ast.RuleDecl(name, condition, body, pos=ast.Pos(start.line, start.column))
 
@@ -272,9 +268,8 @@ class _Parser:
 
     def parse_arg(self) -> ast.Expression:
         token = self.current()
-        if token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
-            self.advance()
-            return ast.Literal(token.value)  # type: ignore[arg-type]
+        if self.at_literal():
+            return ast.Literal(self.advance().value)  # type: ignore[arg-type]
         if token.kind is TokenKind.IDENT:
             return self.parse_name_ref()
         raise ParseError(
@@ -311,32 +306,37 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expression(self, floor: int = 1) -> ast.Expression:
+    def parse_expression(self, floor: int = 1, depth: int = 1) -> tuple[ast.Expression, int]:
         """An expression of operators that bind at least as tightly as
-        ``floor`` (``ast.PRECEDENCE``), by precedence climbing: a prefix
-        operator or a parenthesis parses its operand at its own level, and a
-        run of binary operators builds its left-leaning chain in a loop.
+        ``floor`` (``ast.PRECEDENCE``), and its height, by precedence climbing:
+        a prefix operator or a parenthesis parses its operand at its own level,
+        and a run of binary operators builds its left-leaning chain in a loop.
 
-        ``self.depth`` is the depth of the node the expression hangs under;
-        on return it is that depth plus the height of the tree built, a pair
-        of parentheses counting as one level."""
-        top = self.depth
+        ``depth`` is the depth of the expression's root, the height the number
+        of levels under it; a pair of parentheses counts as a level, except
+        around a lone literal, as the formatter writes a negated one ``-(5)``."""
         token = self.current()
-        self.deepen(top + 1, token)
-        prefix = (_PREFIXES.get(token.value)  # type: ignore[arg-type]
+        self.check_depth(depth, token)
+        prefix = (ast.PREFIXES.get(token.value)  # type: ignore[arg-type]
                   if token.kind in (TokenKind.KEYWORD, TokenKind.OP) else None)
         if prefix is not None and ast.PRECEDENCE[prefix] >= floor:
             self.advance()
-            operand = self.parse_expression(ast.PRECEDENCE[prefix])
+            operand, height = self.parse_expression(ast.PRECEDENCE[prefix], depth + 1)
             left: ast.Expression = ast.Unary(token.value, operand)  # type: ignore[arg-type]
+            height += 1
         elif self.at(TokenKind.PUNCT, "("):
             self.advance()
-            left = self.parse_expression()
+            if self.at_literal() and self.tokens[self.pos + 1].kind is TokenKind.PUNCT \
+                    and self.tokens[self.pos + 1].value == ")":
+                left, height = ast.Literal(self.advance().value), 0  # type: ignore[arg-type]
+            else:
+                left, height = self.parse_expression(1, depth + 1)
+                height += 1
             self.expect(TokenKind.PUNCT, ")")
-        elif token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
-            left = ast.Literal(self.advance().value)  # type: ignore[arg-type]
+        elif self.at_literal():
+            left, height = ast.Literal(self.advance().value), 0  # type: ignore[arg-type]
         elif token.kind is TokenKind.IDENT:
-            left = self.parse_name_ref()
+            left, height = self.parse_name_ref(), 0
         else:
             raise ParseError(f"expected an expression, got {token.value!r}",
                              token.line, token.column)
@@ -346,12 +346,12 @@ class _Parser:
                       or token.kind is TokenKind.KEYWORD and token.value in ast.BOOLEAN_OPS)
             level = ast.PRECEDENCE[token.value] if binary else 0  # type: ignore[index]
             if level < floor:
-                return left
+                return left, height
             self.advance()
-            self.deepen(self.depth + 1, token)  # the new node over the left operand
-            reach, self.depth = self.depth, top + 1
-            right = self.parse_expression(level + 1)
-            self.depth = max(self.depth, reach)
+            height += 1  # the new node goes over the left operand
+            self.check_depth(depth + height, token)
+            right, right_height = self.parse_expression(level + 1, depth + 1)
+            height = max(height, right_height + 1)
             left = ast.Binary(token.value, left, right)  # type: ignore[arg-type]
             after = self.current()
             if token.value in ast.COMPARISON_OPS and after.kind is TokenKind.OP \
@@ -359,13 +359,15 @@ class _Parser:
                 raise ParseError("comparisons are non-associative; parenthesize to chain them",
                                  after.line, after.column)
 
-    def deepen(self, depth: int, token: Token) -> None:
-        """Moves to a node at ``depth``; past ``ast.MAX_DEPTH`` that is a
-        ParseError at ``token``, before any later stage recurses that deep."""
+    def at_literal(self) -> bool:
+        return self.current().kind in (TokenKind.NUMBER, TokenKind.STRING)
+
+    def check_depth(self, depth: int, token: Token) -> None:
+        """Past ``ast.MAX_DEPTH`` a node at ``depth`` is a ParseError at
+        ``token``, before any later stage recurses that deep."""
         if depth > ast.MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {ast.MAX_DEPTH} levels",
                              token.line, token.column)
-        self.depth = depth
 
 
 # -- resolution & validation ----------------------------------------------------
@@ -575,7 +577,7 @@ def resolve_program(program: ast.Program) -> ast.Program:
 def parse_expression(source: str) -> ast.Expression:
     """Parse a standalone expression; dotted names become field references."""
     parser = _Parser(source)
-    expr = parser.parse_expression()
+    expr, _ = parser.parse_expression()
     trailing = parser.current()
     if trailing.kind is not TokenKind.EOF:
         raise ParseError(

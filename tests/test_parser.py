@@ -340,6 +340,10 @@ DEEP_CONDITIONS = {
     "unary minus": lambda depth: "R.X > " + "-" * (depth - 2) + "R.X",
     "OR chain": lambda depth: " OR ".join(["R.X > 0"] * (depth - 1)),
     "+ chain": lambda depth: " + ".join(["R.X"] * (depth - 1)) + " > 0",
+    # after the rule name -5 lexes as a minus and a 5, formatted -(5)
+    "negated literal": lambda depth: " OR ".join(["-5 > R.X"] + ["R.X > 0"] * (depth - 3)),
+    # a leading negative literal keeps its parentheses in the formatted text
+    "negative literal first": lambda depth: "(-5) > 0 OR " + "NOT " * (depth - 3) + "R.X > 0",
 }
 
 
@@ -357,6 +361,13 @@ def test_a_condition_at_the_depth_bound_goes_through_every_stage(shape):
     Engine(program)
     text = format_program(program)
     assert format_program(parse_program(text)) == text
+
+
+@pytest.mark.parametrize("shape", DEEP_CONDITIONS)
+def test_the_depth_bound_applies_to_each_condition_alone(shape):
+    rules = "".join(f"RULE A{i} R.X > 0 {{}}\n" for i in range(250))
+    source = f"RELATION R (X)\n{rules}RULE B {DEEP_CONDITIONS[shape](ast.MAX_DEPTH)} {{}}\n"
+    assert len(parse_program(source).rules) == 251
 
 
 @pytest.mark.parametrize("shape", DEEP_CONDITIONS)
