@@ -80,7 +80,8 @@ PRECEDENCE = {"OR": 1, "AND": 2, "NOT": 3, **dict.fromkeys(COMPARISON_OPS, 4),
 PREFIXES = {"NOT": "NOT", "-": "neg"}
 
 # The deepest expression the parser accepts, counting each operand, operator
-# and pair of parentheses on the way down; every later stage walks a tree
+# and pair of parentheses (but one around a lone literal) on the way down,
+# each rule condition on its own; every later stage walks a tree
 # this deep within CPython's default recursion limit.
 MAX_DEPTH = 400
 
