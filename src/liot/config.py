@@ -69,14 +69,8 @@ def _int(key: str, text: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {text!r}") from None
 
 
-def _positive_int(key: str, text: str) -> int:
-    value = _int(key, text)
-    if value < 1:
-        raise ConfigError(f"{key} must be positive, got {value}")
-    return value
-
-
 def apply_config_pairs(config: RunConfig, pairs: dict[str, str]) -> None:
+    """Sets each key's value, then checks the whole config (``validate``)."""
     for key, value in pairs.items():
         if key == "host":
             config.host = value
@@ -85,15 +79,15 @@ def apply_config_pairs(config: RunConfig, pairs: dict[str, str]) -> None:
             if not 0 <= config.port <= 65535:  # 0 picks a free port
                 raise ConfigError(f"port must be in 0..65535, got {config.port}")
         elif key == "window":
-            config.window_default = _positive_int(key, value)
+            config.window_default = _int(key, value)
         elif key.startswith("window."):
-            config.window_overrides[key.split(".", 1)[1]] = _positive_int(key, value)
+            config.window_overrides[key.split(".", 1)[1]] = _int(key, value)
         elif key == "cascade":
-            config.cascade_limit = _positive_int(key, value)
+            config.cascade_limit = _int(key, value)
         elif key == "call_timeout_ms":
-            config.call_timeout_ms = _positive_int(key, value)
+            config.call_timeout_ms = _int(key, value)
         elif key == "queue":
-            config.queue_size = _positive_int(key, value)
+            config.queue_size = _int(key, value)
         elif key == "log":
             config.log_path = value
         elif key.startswith("webhook."):
@@ -102,3 +96,4 @@ def apply_config_pairs(config: RunConfig, pairs: dict[str, str]) -> None:
             config.base_url = value
         else:
             raise ConfigError(f"unknown config key {key!r}")
+    config.validate()

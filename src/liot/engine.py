@@ -15,9 +15,12 @@ every insert; equality of the two firing logs is the correctness contract for
 the index.
 
 The engine resolves the program it is given (so one built as a syntax tree
-is checked too), then compiles its conditions and statement rows to generated
-functions (``evaluator``). A statement looks up the rule, timer or module it
-names when it runs; a CALL's declared outputs are bound when it is compiled.
+is checked too), then compiles every rule condition and every block (rule,
+timer, endpoint, trigger and top-level statements) to generated functions in
+one go (``evaluator``). What a statement does stays here: each is handed over
+as a call of one of the engine's actions, which the block makes with the
+statement's row, computed when the statement's turn comes. An action looks
+up the rule, timer or module its statement names when it runs.
 
 The engine owns the timer rule for both clocks: ``run_due_timers`` ticks the
 timers due now. Under the wall clock the runtime's loop only asks
@@ -33,7 +36,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple, Protocol
 from urllib.parse import urljoin, urlsplit
 
 from . import ast
@@ -48,7 +51,7 @@ from .errors import (
     ScalarError,
     UnknownNameError,
 )
-from .evaluator import Condition, Row, Scope, compile_functions, eval_condition
+from .evaluator import Body, Call, Condition, Scope, compile_functions, eval_condition
 from .parser import resolve_program
 from .store import PersistenceLog, Record, Store, replay_log
 from .values import Value, dump_json, ensure_value, parse_query_value, type_name, value_to_param
@@ -111,15 +114,12 @@ class EventResult:
 
 # -- engine-side state ------------------------------------------------------------
 
-# A compiled statement: step(scope).
-Step = Callable[[Scope], None]
-
 
 @dataclass
 class RuleState:
     decl: ast.RuleDecl
     condition: Condition
-    body: list[Step]
+    body: Body
     active: bool = True
     depends_on: frozenset[str] = frozenset()
 
@@ -127,7 +127,7 @@ class RuleState:
 @dataclass
 class TimerState:
     decl: ast.TimerDecl
-    body: list[Step]
+    body: Body
     running: bool = True
     next_fire: int = 0
 
@@ -198,29 +198,43 @@ class Engine:
             window_overrides=self.config.window_overrides,
         )
         self._module_outputs = {m.name: m.outputs for m in program.modules}
-        # Blocks first: each statement with a row records where its step
-        # goes, and one compile then makes every condition and row.
-        unbound: list[tuple[list[Step], int, tuple[ast.Expression, ...]]] = []
-        compile_block = partial(self._compile_block, unbound)
-        rule_bodies = [compile_block(r.body) for r in program.rules]
-        self.timer_states: dict[str, TimerState] = {
-            t.name: TimerState(decl=t, body=compile_block(t.body)) for t in program.timers
+        # each statement class's action and the field naming the action's target
+        actions = {
+            ast.Insert: (self._insert, "relation"),
+            ast.StartTimer: (partial(self._set_running, True), "name"),
+            ast.StopTimer: (partial(self._set_running, False), "name"),
+            ast.Activate: (partial(self._set_active, True), "rule"),
+            ast.Deactivate: (partial(self._set_active, False), "rule"),
+            ast.Check: (self._check_rule, "rule"),
+            ast.CallModule: (self._call_module, "name"),
+            ast.AcallModule: (self._acall_module, "name"),
         }
-        self._endpoints_by_name = {
-            e.name: (e.params, compile_block(e.body)) for e in program.endpoints
-        }
-        triggers = {t.relation: compile_block(t.body) for t in program.triggers}
-        self._top_level = compile_block(program.top_level_statements)
-        conditions, rows = compile_functions(self.store.windows,
-                                             [r.condition for r in program.rules],
-                                             [args for _, _, args in unbound])
-        for (steps, i, _), row in zip(unbound, rows):
-            steps[i] = partial(steps[i], row)
+
+        def calls(block: ast.Block) -> list[Call]:
+            made = []
+            for stmt in block:
+                action, target = actions[type(stmt)]
+                made.append((action, getattr(stmt, target), getattr(stmt, "args", ())))
+            return made
+
+        # One compile makes every condition and every block, blocks in this order.
+        blocks = [program.top_level_statements, *[r.body for r in program.rules],
+                  *[t.body for t in program.timers], *[e.body for e in program.endpoints],
+                  *[t.body for t in program.triggers]]
+        conditions, bodies = compile_functions(self.store, [r.condition for r in program.rules],
+                                               [calls(block) for block in blocks])
+        bodies = iter(bodies)
+        self._top_level = next(bodies)
         self.rule_states: list[RuleState] = [
-            RuleState(decl=r, condition=condition, body=body,
+            RuleState(decl=r, condition=condition, body=next(bodies),
                       depends_on=frozenset(ast.relations_mentioned(r.condition)))
-            for r, condition, body in zip(program.rules, conditions, rule_bodies)
+            for r, condition in zip(program.rules, conditions)
         ]
+        self.timer_states: dict[str, TimerState] = {
+            t.name: TimerState(decl=t, body=next(bodies)) for t in program.timers
+        }
+        self._endpoints_by_name = {e.name: (e.params, next(bodies)) for e in program.endpoints}
+        triggers = {t.relation: next(bodies) for t in program.triggers}
         self._rules_by_name = {rs.decl.name: rs for rs in self.rule_states}
         # alpha layer: relation -> rules mentioning it, declaration order.
         # A rule mentioning no relation at all is treated as depending on
@@ -268,11 +282,11 @@ class Engine:
             ts.next_fire = now + ts.decl.interval_ms
         # initialization statements are skipped when a previous run was
         # restored: replaying state and re-running the init would double it
-        if self.replayed_records == 0 and self._top_level:
+        if self.replayed_records == 0:
             firings = self._event_firings = []
             self._cascade_depth = 0
             try:
-                self._run_block(self._top_level, {})  # one scope, as any block
+                self._top_level({})  # one scope, as any block
             except EngineRuntimeError as exc:
                 self._log_event_error(f"top-level statement failed: {exc}")
             finally:
@@ -320,8 +334,7 @@ class Engine:
                 f"endpoint {event.name} takes {len(params)} parameters, "
                 f"got {len(event.args)}"
             )
-        scope: Scope = {p: ensure_value(v) for p, v in zip(params, event.args)}
-        self._run_block(body, scope)
+        body({p: ensure_value(v) for p, v in zip(params, event.args)})
 
     def _run_timer(self, name: str) -> None:
         ts = self.timer_states.get(name)
@@ -329,11 +342,7 @@ class Engine:
             raise UnknownNameError(f"unknown timer {name}")
         if not ts.running:
             return  # a tick of a stopped timer does nothing
-        self._run_block(ts.body, {})
-
-    def _run_block(self, body: list[Step], scope: Scope) -> None:
-        for step in body:
-            step(scope)
+        ts.body({})
 
     def _enter_cascade(self, what: str) -> None:
         """One level deeper; a raise ends the event, so callers step back up
@@ -346,47 +355,21 @@ class Engine:
 
     # -- statements ---------------------------------------------------------
 
-    def _compile_block(self, unbound: list, body: ast.Block) -> list[Step]:
-        """The block's steps. The step of an INSERT, CALL or ACALL still lacks
-        its row: it goes on ``unbound``, and ``__init__`` binds the row last."""
-        steps = [self._compile_statement(stmt) for stmt in body]
-        unbound += [(steps, i, stmt.args) for i, stmt in enumerate(body)
-                    if isinstance(stmt, (ast.Insert, ast.CallModule, ast.AcallModule))]
-        return steps
+    # An action runs one statement, called as action(target, values, scope)
+    # with the name the statement gives and its row's values.
 
-    def _compile_statement(self, stmt: ast.Statement) -> Step:
-        if isinstance(stmt, ast.Insert):
-            return partial(self._insert, stmt.relation)
-        if isinstance(stmt, ast.StartTimer):
-            return partial(self._set_running, stmt.name, True)
-        if isinstance(stmt, ast.StopTimer):
-            return partial(self._set_running, stmt.name, False)
-        if isinstance(stmt, ast.Activate):
-            return partial(self._set_active, stmt.rule, True)
-        if isinstance(stmt, ast.Deactivate):
-            return partial(self._set_active, stmt.rule, False)
-        if isinstance(stmt, ast.Check):
-            return partial(self._check_rule, stmt.rule)
-        if isinstance(stmt, ast.CallModule):
-            outputs = self._module_outputs[stmt.name]
-            return partial(self._call_module, stmt.name, outputs)
-        if isinstance(stmt, ast.AcallModule):
-            return partial(self._acall_module, stmt.name)
-        raise AssertionError(f"unhandled statement {stmt!r}")
-
-    def _insert(self, relation: str, row: Row, scope: Scope) -> None:
-        values = row(scope)
+    def _insert(self, relation: str, values: tuple[Value, ...], scope: Scope) -> None:
         self._enter_cascade("insert")
         self._do_insert(relation, values)
         self._cascade_depth -= 1
 
-    def _set_running(self, name: str, running: bool, scope: Scope) -> None:
+    def _set_running(self, running: bool, name: str, values: tuple[()], scope: Scope) -> None:
         ts = self.timer_states[name]
         ts.running = running
         if running:
             ts.next_fire = self.clock.now_ms() + ts.decl.interval_ms
 
-    def _set_active(self, name: str, active: bool, scope: Scope) -> None:
+    def _set_active(self, active: bool, name: str, values: tuple[()], scope: Scope) -> None:
         self._rules_by_name[name].active = active
 
     def _do_insert(self, relation: str, values: tuple[Value, ...]) -> Record:
@@ -399,7 +382,7 @@ class Engine:
             self.outbound.submit_async(webhook, [("T", str(record.t))] + params)
         if trigger is not None:
             self._event_firings.append(Firing(record.seq, "trigger", relation, record.t))
-            self._run_block(trigger, {})
+            trigger({})
         self._run_rules(relation, record)
         return record
 
@@ -413,9 +396,9 @@ class Engine:
 
     def _fire_rule(self, rs: RuleState, seq: int, t: int) -> None:
         self._event_firings.append(Firing(seq, "rule", rs.decl.name, t))
-        self._run_block(rs.body, {})
+        rs.body({})
 
-    def _check_rule(self, name: str, scope: Scope) -> None:
+    def _check_rule(self, name: str, values: tuple[()], scope: Scope) -> None:
         """CHECK is an explicit command: it ignores the active flag."""
         rs = self._rules_by_name[name]
         self.condition_evaluations += 1
@@ -423,7 +406,7 @@ class Engine:
             seq = self.store.next_seq - 1  # latest record overall, 0 if none
             self._event_firings.append(Firing(seq, "rule", name, self.clock.now_ms()))
             self._enter_cascade("check")
-            self._run_block(rs.body, {})
+            rs.body({})
             self._cascade_depth -= 1
 
     # -- outbound HTTP --------------------------------------------------------
@@ -453,25 +436,25 @@ class Engine:
                 "http-status", f"forward to {url} returned {status}, record not applied"
             )
 
-    def _module_request(self, name: str, row: Row,
-                        scope: Scope) -> tuple[str, list[tuple[str, str]]]:
+    def _module_request(self, name: str,
+                        values: tuple[Value, ...]) -> tuple[str, list[tuple[str, str]]]:
         """URL and ``p1..pn`` parameters of a CALL or ACALL."""
         mapping = self._module_maps.get(name)
         if mapping is None:
             raise ModuleCallError("target", f"module {name} has no mapping")
-        values = row(scope)
         url = resolve_target(mapping.target, self.config.base_url)
         return url, [(f"p{i}", value_to_param(v)) for i, v in enumerate(values, 1)]
 
-    def _call_module(self, name: str, outputs: tuple[str, ...], row: Row, scope: Scope) -> None:
+    def _call_module(self, name: str, values: tuple[Value, ...], scope: Scope) -> None:
         """GET the module and bind exactly the declared outputs of its JSON
         reply into the scope as ``NAME.output``."""
-        url, params = self._module_request(name, row, scope)
+        url, params = self._module_request(name, values)
         status, body = self._get(url, params, "module call")
         if status != 200:
             raise ModuleCallError("http-status", f"module call {url} returned {status}")
         if len(body) > BODY_LIMIT:
             raise ModuleCallError("malformed-body", f"module response exceeds {BODY_LIMIT} bytes")
+        outputs = self._module_outputs[name]
         if not outputs:
             return
 
@@ -492,8 +475,8 @@ class Engine:
                 raise ModuleCallError("malformed-body", f"output {output!r} is not a scalar")
             scope[f"{name}.{output}"] = ensure_value(raw)
 
-    def _acall_module(self, name: str, row: Row, scope: Scope) -> None:
-        self.outbound.submit_async(*self._module_request(name, row, scope))
+    def _acall_module(self, name: str, values: tuple[Value, ...], scope: Scope) -> None:
+        self.outbound.submit_async(*self._module_request(name, values))
 
     # -- timers ---------------------------------------------------------------
 

@@ -7,12 +7,16 @@ AND/OR evaluate left to right and short-circuit, so an unavailable field
 reference on the right is never touched once the left side decides. Every
 other binary operator evaluates both operands before checking their types.
 
-An engine compiles its rule conditions and statement rows once, to one
-generated Python source, as ``dataclasses`` builds its methods. Each node is
-a few statements that leave its value in a local, so no chain of operators
-nests; a field read indexes a window's records and type checks are inline
-statements. The source holds only indices, operators and the names of values
-passed in, never a relation name, scope name or literal of the program.
+An engine compiles its rule conditions and statement blocks once, to one
+generated Python source, as ``dataclasses`` builds its methods. A block is
+given as calls ``(action, target, args)``: its function computes each call's
+row of ``args`` when that call's turn comes and then calls
+``action(target, row, scope)``, so what a statement does stays with the
+engine. Each node is a few statements that leave its value in a local, so no
+chain of operators nests; a field read indexes a window's deque and type
+checks are inline statements. The source holds only indices, operators and
+the names of values passed in, never a relation name, scope name, literal,
+action or target of the program.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from operator import index
 from typing import Callable, NoReturn, Sequence
 
 from . import ast
-from .errors import (DivisionByZeroError, EngineRuntimeError, EvalTypeError,
-                     HistoryUnavailableError, ScalarError, UnknownNameError)
-from .store import RelationWindow
+from .errors import (DivisionByZeroError, EngineRuntimeError, EvalTypeError, ScalarError,
+                     UnknownNameError)
+from .store import Store, history_unavailable
 from .values import Value, type_name
 
 Scope = dict[str, Value]
@@ -42,10 +46,13 @@ UNAVAILABLE = _Unavailable()
 
 # A condition takes no scope, since a rule has none, and returns True, False,
 # or UNAVAILABLE when a window lacks the history it reads, so that a freshly
-# started program does not fail before its sensors have reported. A row takes
-# the block's scope and returns the values of an INSERT, CALL or ACALL.
+# started program does not fail before its sensors have reported. A block
+# takes its scope and runs its calls in order; an action takes its target,
+# its row's values and the scope.
 Condition = Callable[[], "bool | _Unavailable"]
-Row = Callable[[Scope], tuple[Value, ...]]
+Action = Callable[[object, tuple[Value, ...], Scope], None]
+Call = tuple[Action, object, Sequence[ast.Expression]]
+Body = Callable[[Scope], None]
 
 # What a failed check raises, by the name the generated source gives ``_fail``.
 _FAILURES: dict[str, Callable[..., EngineRuntimeError]] = {
@@ -57,8 +64,7 @@ _FAILURES: dict[str, Callable[..., EngineRuntimeError]] = {
     "compare": lambda o, a, b: EvalTypeError(f"cannot compare {type_name(a)} {o} {type_name(b)}"),
     "condition": lambda v: EvalTypeError(f"condition evaluated to {type_name(v)}, not boolean"),
     "name": lambda name: UnknownNameError(f"unknown name {name}"),
-    "history": lambda w, offset: HistoryUnavailableError(
-        f"{w.decl.name} holds {len(w.records)} records, offset {offset} reaches past the window"),
+    "history": history_unavailable,
 }
 
 
@@ -77,16 +83,16 @@ class _Generator:
 
     Each node becomes statements that leave its value in a local, so that a
     long chain of operators nests nothing. A function names the values it
-    reads (windows, literals, scope names) K0, K1, ... in order, and is
-    written inside a factory that takes them, so that functions differing
-    only in those values, as a family of generated rules does, share one
-    text that is compiled once."""
+    reads (windows, relation names, literals, scope names, actions, targets)
+    K0, K1, ... in order, and is written inside a factory that takes them, so
+    that functions differing only in those values, as a family of generated
+    rules does, share one text that is compiled once."""
 
-    def __init__(self, windows: dict[str, RelationWindow]):
-        self.windows = windows
+    def __init__(self, store: Store):
+        self.store = store
         self.factories: dict[str, tuple[str, int]] = {}  # text -> factory name, arity
         self.made: list[tuple[str, list[object]]] = []  # per function: factory, values
-        self.params = ""  # "S" while writing rows, which read the block's scope
+        self.params = ""  # "S" while writing blocks, which read their scope
 
     def bind(self, value: object) -> str:
         """The name of a value in the function being written."""
@@ -112,12 +118,14 @@ class _Generator:
         self.check_boolean(node, v, "'condition'", lines, "  ")
         self.finish(lines + [f"  return {v}", " except IndexError:", "  return UNAVAILABLE"])
 
-    def row(self, nodes: Sequence[ast.Expression]) -> None:
-        """Missing history makes a row raise."""
+    def block(self, calls: Sequence[Call]) -> None:
+        """Missing history makes a row raise, before its action is called."""
         self.start()
-        lines = ["def f(S):"]
-        values = [self.emit(node, lines, " ") for node in nodes]
-        self.finish(lines + [f" return ({''.join(v + ',' for v in values)})"])
+        lines = ["def f(S):", " pass"]  # a block may have no statements
+        for action, target, args in calls:
+            values = "".join(self.emit(node, lines, " ") + "," for node in args)
+            lines.append(f" {self.bind(action)}({self.bind(target)}, ({values}), S)")
+        self.finish(lines)
 
     def emit(self, node: ast.Expression, lines: list[str], pad: str) -> str:
         """Appends the statements that compute ``node``, each indented by
@@ -129,14 +137,14 @@ class _Generator:
             return self.bind(node.value)
         v = f"v{next(self.names)}"
         if isinstance(node, ast.FieldRef):
-            window = self.windows[node.relation]
-            w, offset = self.bind(window), index(node.offset)  # 0 reads the newest record
+            fields = self.store.relations[node.relation].fields
+            w, offset = self.bind(self.store.windows[node.relation]), index(node.offset)
             if self.params:
-                lines.append(f"{pad}if len({w}.records) < {1 - offset}: "
-                             f"_fail('history', {w}, {offset})")
-            record = f"{w}.records[{offset - 1}]"
+                lines.append(f"{pad}if len({w}) < {1 - offset}: "
+                             f"_fail('history', {self.bind(node.relation)}, {w}, {offset})")
+            record = f"{w}[{offset - 1}]"  # offset 0 reads the newest record
             read = (f"float({record}.t)" if node.field == "T"
-                    else f"{record}.values[{window.decl.fields.index(node.field)}]")
+                    else f"{record}.values[{fields.index(node.field)}]")
             lines.append(f"{pad}{v} = {read}")
         elif isinstance(node, ast.ScopeRef):
             name = self.bind(node.name)
@@ -194,17 +202,16 @@ class _Generator:
             lines.append(f"{pad}if type({v}) is not bool: _fail({failure}, {v})")
 
 
-def compile_functions(windows: dict[str, RelationWindow], conditions: Sequence[ast.Expression],
-                      rows: Sequence[Sequence[ast.Expression]]
-                      ) -> tuple[list[Condition], list[Row]]:
-    """From one compiled source, a function per condition and one per row, in
-    the order given; all of them read the given windows."""
-    generator = _Generator(windows)
+def compile_functions(store: Store, conditions: Sequence[ast.Expression],
+                      blocks: Sequence[Sequence[Call]]) -> tuple[list[Condition], list[Body]]:
+    """From one compiled source, a function per condition and one per block,
+    in the order given; all of them read the windows of ``store``."""
+    generator = _Generator(store)
     for node in conditions:
         generator.condition(node)
     generator.params = "S"
-    for row in rows:
-        generator.row(row)
+    for calls in blocks:
+        generator.block(calls)
     source = "".join(f"def {name}({', '.join(f'K{i}' for i in range(arity))}):\n{text} return f\n"
                      for text, (name, arity) in generator.factories.items())
     namespace = {"_fail": _fail, "UNAVAILABLE": UNAVAILABLE, "isfinite": isfinite}

@@ -14,6 +14,7 @@ references. ``Engine`` resolves its program too, for one built as a tree.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import isfinite
 from typing import NoReturn
 
@@ -418,11 +419,7 @@ class _Resolver:
             if trigger.relation in seen_trigger_relations:
                 self.fail(f"relation {trigger.relation} already has a trigger", trigger.pos)
             seen_trigger_relations.add(trigger.relation)
-            triggers.append(
-                ast.TriggerDecl(
-                    trigger.relation, self.resolve_block(trigger.body), trigger.pos
-                )
-            )
+            triggers.append(replace(trigger, body=self.resolve_block(trigger.body)))
 
         endpoints = []
         for endpoint in p.endpoints:
@@ -433,26 +430,14 @@ class _Resolver:
                         f"endpoint {endpoint.name}: parameter {param} shadows a relation",
                         endpoint.pos,
                     )
-            endpoints.append(
-                ast.EndpointDecl(
-                    endpoint.name,
-                    endpoint.params,
-                    self.resolve_block(endpoint.body),
-                    endpoint.pos,
-                )
-            )
+            endpoints.append(replace(endpoint, body=self.resolve_block(endpoint.body)))
 
-        timers = [
-            ast.TimerDecl(t.name, t.interval_ms, self.resolve_block(t.body), t.pos)
-            for t in p.timers
-        ]
+        timers = [replace(t, body=self.resolve_block(t.body)) for t in p.timers]
 
         rules = []
         for rule in p.rules:
             condition = self.resolve_condition(rule.condition, rule)
-            rules.append(
-                ast.RuleDecl(rule.name, condition, self.resolve_block(rule.body), rule.pos)
-            )
+            rules.append(replace(rule, condition=condition, body=self.resolve_block(rule.body)))
 
         for mapping in p.mappings:
             table = self.relations if mapping.kind == "relation" else self.modules
@@ -461,18 +446,9 @@ class _Resolver:
                     f"mapping references unknown {mapping.kind} {mapping.name}", mapping.pos
                 )
 
-        statements = tuple(self.resolve_statement(s) for s in p.top_level_statements)
-
-        return ast.Program(
-            relations=p.relations,
-            triggers=tuple(triggers),
-            endpoints=tuple(endpoints),
-            timers=tuple(timers),
-            rules=tuple(rules),
-            modules=p.modules,
-            mappings=p.mappings,
-            top_level_statements=statements,
-        )
+        return replace(p, triggers=tuple(triggers), endpoints=tuple(endpoints),
+                       timers=tuple(timers), rules=tuple(rules),
+                       top_level_statements=self.resolve_block(p.top_level_statements))
 
     def check_unique(self, names, kind: str, decls) -> None:
         seen: set = set()
@@ -545,8 +521,7 @@ class _Resolver:
                     f"relation {stmt.relation} takes {len(decl.fields)} values, got {len(stmt.args)}",
                     stmt.pos,
                 )
-            args = tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args)
-            return ast.Insert(stmt.relation, args, stmt.pos)
+            return replace(stmt, args=tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args))
         if isinstance(stmt, (ast.StartTimer, ast.StopTimer)):
             if stmt.name not in self.timers:
                 self.fail(f"unknown timer {stmt.name}", stmt.pos)
@@ -558,9 +533,7 @@ class _Resolver:
         if isinstance(stmt, (ast.CallModule, ast.AcallModule)):
             if stmt.name not in self.modules:
                 self.fail(f"unknown module {stmt.name}", stmt.pos)
-            args = tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args)
-            ctor = ast.CallModule if isinstance(stmt, ast.CallModule) else ast.AcallModule
-            return ctor(stmt.name, args, stmt.pos)
+            return replace(stmt, args=tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args))
         raise AssertionError(f"unhandled statement {stmt!r}")
 
 

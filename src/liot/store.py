@@ -13,7 +13,8 @@ not be logged is never seen.
 ``insert`` and ``latest`` trust their arguments: the engine runs ``check`` on
 each insert from outside, and the resolver proved every statement's row and
 every field read. Only the history a read reaches for is checked each time.
-The engine's compiled conditions and rows (``evaluator``) read windows alike.
+The engine's compiled conditions and blocks (``evaluator``) hold and index
+the window deques themselves, so ``replay_log`` refills a window in place.
 """
 
 from __future__ import annotations
@@ -48,26 +49,23 @@ class Record(NamedTuple):
     values: tuple[Value, ...]
 
 
-class RelationWindow:
-    """Ring of at most ``capacity`` records, newest last."""
-
-    def __init__(self, decl: RelationDecl, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"window capacity must be positive, got {capacity}")
-        self.decl = decl
-        self.capacity = capacity
-        self.records: deque[Record] = deque(maxlen=capacity)
-
-
 def _arity_error(relation: str, expected: int, got: int) -> ArityError:
     return ArityError(f"relation {relation} takes {expected} values, got {got}")
 
 
+def history_unavailable(relation: str, window: deque[Record],
+                        offset: int) -> HistoryUnavailableError:
+    """What a read past the records ``window`` holds raises."""
+    return HistoryUnavailableError(
+        f"{relation} holds {len(window)} records, offset {offset} reaches past the window")
+
+
 class Store:
-    """All relation windows of one run.
+    """All relation windows of one run: each a deque of at most its capacity
+    in records, newest last, beside the relation's declaration.
 
     Only the engine's event loop writes, and it writes under ``lock``. Reads
-    on the loop thread (the engine's conditions and rows, ``latest``) take no
+    on the loop thread (the engine's conditions and blocks, ``latest``) take no
     lock, since nothing else writes. HTTP readers (``read``,
     ``snapshot``, ``size``) take the lock, so they never observe a
     half-applied insert.
@@ -80,14 +78,17 @@ class Store:
         window_overrides: dict[str, int] | None = None,
     ):
         overrides = window_overrides or {}
-        self.windows: dict[str, RelationWindow] = {}
-        for decl in relations:
-            capacity = overrides.get(decl.name, window_default)
-            self.windows[decl.name] = RelationWindow(decl, capacity)
+        self.relations = {decl.name: decl for decl in relations}
+        self.windows: dict[str, deque[Record]] = {}
+        for name in self.relations:
+            capacity = overrides.get(name, window_default)
+            if capacity < 1:
+                raise ValueError(f"window capacity must be positive, got {capacity}")
+            self.windows[name] = deque(maxlen=capacity)
         self.next_seq = 1
         self.lock = threading.RLock()
 
-    def window(self, relation: str) -> RelationWindow:
+    def window(self, relation: str) -> deque[Record]:
         try:
             return self.windows[relation]
         except KeyError:
@@ -96,10 +97,11 @@ class Store:
     def check(self, relation: str, values: Iterable[object]) -> tuple[Value, ...]:
         """An outside row as ``insert`` takes it: a known relation, one scalar
         per field, each normalized by ``ensure_value``."""
-        window = self.window(relation)
+        self.window(relation)  # refuses an unknown relation
+        fields = self.relations[relation].fields
         checked = tuple(map(ensure_value, values))
-        if len(checked) != len(window.decl.fields):
-            raise _arity_error(relation, len(window.decl.fields), len(checked))
+        if len(checked) != len(fields):
+            raise _arity_error(relation, len(fields), len(checked))
         return checked
 
     def insert(
@@ -117,7 +119,7 @@ class Store:
         if log is not None:
             log.append(relation, record)
         with self.lock:
-            window.records.append(record)  # evicts the oldest at capacity
+            window.append(record)  # evicts the oldest at capacity
             self.next_seq = seq + 1
         return record
 
@@ -127,33 +129,30 @@ class Store:
         so only the writing thread may call it on a live store."""
         window = self.windows[relation]
         try:
-            record = window.records[offset - 1]
+            record = window[offset - 1]
         except IndexError:
-            raise HistoryUnavailableError(
-                f"{relation} holds {len(window.records)} records, "
-                f"offset {offset} reaches past the window"
-            ) from None
+            raise history_unavailable(relation, window, offset) from None
         if field == "T":
             return float(record.t)
-        return record.values[window.decl.fields.index(field)]
+        return record.values[self.relations[relation].fields.index(field)]
 
     def read(self, relation: str, limit: int) -> list[Record]:
         """Newest-first prefix of the window, at most ``limit`` records; a
         limit past the window, however large, reads the whole window."""
         if limit < 1:
             raise ValueError(f"limit must be positive, got {limit}")
-        records = self.window(relation).records
+        records = self.window(relation)
         with self.lock:
             return list(islice(reversed(records), min(limit, len(records))))
 
     def size(self, relation: str) -> int:
         with self.lock:
-            return len(self.window(relation).records)
+            return len(self.window(relation))
 
     def snapshot(self) -> dict[str, list[Record]]:
         """Deep-comparable copy of every window plus the seq counter."""
         with self.lock:
-            return {name: list(w.records) for name, w in self.windows.items()}
+            return {name: list(w) for name, w in self.windows.items()}
 
 
 # -- persistence ---------------------------------------------------------------
@@ -195,7 +194,7 @@ def replay_log(store: Store, path: str | Path) -> int:
     Any malformed line, one that is not UTF-8 among them, aborts the replay
     with its line number and leaves both the store and the file as they
     were: each window's tail is collected apart, at most its capacity, and
-    installed once at the end.
+    each window is refilled with its tail only once the whole log is read.
 
     The file is read once. A last line without its newline that is not one
     JSON value was torn by a crash in the middle of an append. It is never
@@ -205,7 +204,7 @@ def replay_log(store: Store, path: str | Path) -> int:
     """
     decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
     windows = store.windows
-    tails = {name: deque(w.records, maxlen=w.capacity) for name, w in windows.items()}
+    tails = {name: deque(w, maxlen=w.maxlen) for name, w in windows.items()}
     next_seq = store.next_seq
     count = line_number = 0
     raw = b""
@@ -258,9 +257,10 @@ def replay_log(store: Store, path: str | Path) -> int:
                     elif kind is not str and not (kind is float and isfinite(v)):
                         v = value_from_json(v)  # boolean, null, or the error
                     values.append(v)
-                window = store.window(relation)
-                if len(values) != len(window.decl.fields):
-                    raise _arity_error(relation, len(window.decl.fields), len(values))
+                store.window(relation)  # refuses an unknown relation
+                fields = store.relations[relation].fields
+                if len(values) != len(fields):
+                    raise _arity_error(relation, len(fields), len(values))
             except (LiotError, OverflowError) as exc:  # OverflowError: float() of a huge integer
                 raise ReplayError(f"log line {line_number}: {exc}", line_number) from None
             tails[relation].append(Record(t, seq, tuple(values)))
@@ -275,6 +275,7 @@ def replay_log(store: Store, path: str | Path) -> int:
                 handle.write(b"\n")
     with store.lock:
         for name, window in windows.items():
-            window.records = tails[name]
+            window.clear()
+            window.extend(tails[name])
         store.next_seq = next_seq
     return count

@@ -336,6 +336,21 @@ def test_top_level_statements_skipped_after_replay(tmp_path):
     second.close()
 
 
+def test_compiled_conditions_and_rows_read_the_replayed_history(tmp_path):
+    """The engine compiles before it replays, so replay must fill the windows
+    its conditions and rows read, not new ones."""
+    src = "RELATION R (V)\nRELATION OUT (V)\nRULE up R.V > R.V[-1] { OUT(R.V[-1]) }"
+    log = str(tmp_path / "run.jsonl")
+    first = make_engine(src, config=EngineConfig(log_path=log))
+    first.process_event(ExternalInsert("R", (1.0,)))
+    first.close()
+    second = make_engine(src, config=EngineConfig(log_path=log))
+    result = second.process_event(ExternalInsert("R", (2.0,)))
+    second.close()
+    assert [f.name for f in result.firings] == ["up"]
+    assert second.store.latest("OUT", "V") == 1.0
+
+
 def test_restart_after_a_torn_last_line_replays_every_whole_record(tmp_path):
     src = "RELATION R (MAC, RSSI)"
     log = tmp_path / "run.jsonl"
@@ -414,6 +429,18 @@ TRIGGER (R)
     engine.process_event(ExternalInsert("R", ("aa:bb", -87.0)))
     copied = engine.store.read("COPY", 1)[0]
     assert copied.values == ("aa:bb", -87.0)
+
+
+def test_each_row_is_computed_when_its_statement_runs():
+    """A row reads the store as the statements before it in the block left it."""
+    src = """
+RELATION A (X)
+RELATION B (X)
+ENDPOINT E () { A(1) B(A.X) A(2) B(A.X) }
+"""
+    engine = make_engine(src)
+    assert engine.process_event(EndpointCall("E", ())).error is None
+    assert [r.values for r in reversed(engine.store.read("B", 10))] == [(1.0,), (2.0,)]
 
 
 # -- module calls and mappings ----------------------------------------------------

@@ -27,13 +27,32 @@ def store_with(*rssi_values, window=1024):
     return store
 
 
+def compile_rows(store, conditions, rows):
+    """Conditions and rows compiled as an engine compiles them: each row is
+    the one call of a block, whose action hands the row's values back."""
+    handed = []
+
+    def hand_back(target, values, scope):
+        handed.append(values)
+
+    def row(body):
+        def values(scope):
+            body(scope)
+            return handed.pop()
+        return values
+
+    blocks = [[(hand_back, None, row_nodes)] for row_nodes in rows]
+    conditions, bodies = compile_functions(store, conditions, blocks)
+    return conditions, [row(body) for body in bodies]
+
+
 def evaluate(expr, store, scope):
     """An expression evaluated as the one value of a statement's row."""
-    return compile_functions(store.windows, [], [(expr,)])[1][0](scope)[0]
+    return compile_rows(store, [], [(expr,)])[1][0](scope)[0]
 
 
 def condition(expr, store):
-    return compile_functions(store.windows, [expr], [])[0][0]
+    return compile_functions(store, [expr], [])[0][0]
 
 
 # -- an independent reference evaluator ------------------------------------------
@@ -314,7 +333,7 @@ def test_conditions_and_rows_compiled_as_one_program_match_the_reference():
     conditions = [random_expr(rng, rng.randint(1, 4)) for _ in range(3000)]
     rows = [tuple(random_expr(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3)))
             for _ in range(3000)]
-    compiled_conditions, compiled_rows = compile_functions(store.windows, conditions, rows)
+    compiled_conditions, compiled_rows = compile_rows(store, conditions, rows)
     got_conditions = [outcome(lambda: eval_condition(c)) for c in compiled_conditions]
     for i, (expr, got) in enumerate(zip(conditions, got_conditions)):
         assert got == ref_condition(expr, store), f"condition {i}: {expr}"
@@ -343,7 +362,7 @@ def test_long_and_deep_expressions_compile_and_match_the_reference():
                               + " AND R.RSSI[-2] < 0"),
              nested]
     store, scope = random_store(), {}
-    conditions, rows = compile_functions(store.windows, exprs, [(e,) for e in exprs])
+    conditions, rows = compile_rows(store, exprs, [(e,) for e in exprs])
     got = [outcome(lambda: eval_condition(c)) for c in conditions]
     assert got == [ref_condition(e, store) for e in exprs]
     assert got == [("ok", "True"), ("ok", "True"), ("ok", "UNAVAILABLE"), ("ok", "False")]
@@ -353,17 +372,23 @@ def test_long_and_deep_expressions_compile_and_match_the_reference():
 
 
 def test_functions_that_differ_only_in_values_share_one_text():
-    """Conditions or rows of one shape, as a generated family of rules has,
+    """Conditions or blocks of one shape, as a generated family of rules has,
     are compiled once; each function still reads its own window and
-    constants."""
+    constants, and calls its own action with its own target."""
     store = random_store()
-    conditions, rows = compile_functions(
-        store.windows, [parse_expression("R.RSSI < -60"), parse_expression('Q.S < "b"')],
-        [(Literal("a"), FieldRef("R", "RSSI")), (Literal("b"), FieldRef("Q", "S"))])
+    handed = []
+    conditions, bodies = compile_functions(
+        store, [parse_expression("R.RSSI < -60"), parse_expression('Q.S < "b"')],
+        [[(lambda target, values, scope: handed.append(("first", target, values)), "A",
+           (Literal("a"), FieldRef("R", "RSSI")))],
+         [(lambda target, values, scope: handed.append(("second", target, values)), "B",
+           (Literal("b"), FieldRef("Q", "S")))]])
     assert [eval_condition(c) for c in conditions] == [False, True]
-    assert [row({}) for row in rows] == [("a", -50.0), ("b", "")]
+    for body in bodies:
+        body({})
+    assert handed == [("first", "A", ("a", -50.0)), ("second", "B", ("b", ""))]
     assert conditions[0].__code__ is conditions[1].__code__
-    assert rows[0].__code__ is rows[1].__code__
+    assert bodies[0].__code__ is bodies[1].__code__
 
 
 def test_evaluation_is_deterministic():
@@ -380,21 +405,32 @@ def test_evaluation_is_deterministic():
     "\x00 ", "'); __import__('os').system('exit 3'); ('", '" + __import__("sys").exit(3) + "',
 ])
 def test_program_text_comes_back_as_data(text):
-    """Literals, scope names, relation names and field names never become code."""
+    """Literals, scope names, relation and field names, and the timer, rule
+    and module names a statement targets never become code."""
     odd = ast.RelationDecl(f"R{text}", (f"F{text}",))
     store = Store([odd], window_default=2)
     store.insert(odd.name, (text,), t=5)
     literal, name, field = Literal(text), ScopeRef(text), FieldRef(odd.name, f"F{text}")
-    conditions, rows = compile_functions(
-        store.windows,
+    handed = []
+
+    def hand_back(target, values, scope):
+        handed.append((target, values))
+
+    conditions, bodies = compile_functions(
+        store,
         [Binary("==", field, literal), Binary("<", literal, field), Binary("==", literal, name)],
-        [(literal, name, field, FieldRef(odd.name, "T")), (FieldRef(odd.name, f"F{text}", -1),)])
+        [[(hand_back, f"timer{text}", ()), (hand_back, f"rule{text}", ()),
+          (hand_back, f"module{text}", (literal, name, field, FieldRef(odd.name, "T")))],
+         [(hand_back, odd.name, (FieldRef(odd.name, f"F{text}", -1),))]])
     assert eval_condition(conditions[0]) is True
     assert eval_condition(conditions[1]) is False
     with pytest.raises(UnknownNameError) as unknown:
         eval_condition(conditions[2])
     assert str(unknown.value) == f"unknown name {text}"
-    assert rows[0]({text: 1.0}) == (text, 1.0, text, 5.0)
+    bodies[0]({text: 1.0})
+    assert handed == [(f"timer{text}", ()), (f"rule{text}", ()),
+                      (f"module{text}", (text, 1.0, text, 5.0))]
     with pytest.raises(HistoryUnavailableError) as missing:
-        rows[1]({})
+        bodies[1]({})
     assert str(missing.value) == f"R{text} holds 1 records, offset -1 reaches past the window"
+    assert len(handed) == 3  # a row that fails calls no action

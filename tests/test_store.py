@@ -358,7 +358,7 @@ def insert_each_logged_record(store, path):
         if line.strip():
             entry = json.loads(line)
             values = tuple(value_from_json(v) for v in entry["v"])
-            store.windows[entry["rel"]].records.append(Record(entry["t"], entry["seq"], values))
+            store.windows[entry["rel"]].append(Record(entry["t"], entry["seq"], values))
             store.next_seq = max(store.next_seq, entry["seq"]) + 1
 
 
