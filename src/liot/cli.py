@@ -15,7 +15,9 @@ import time
 import urllib.parse
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .clock import VirtualClock
 from .config import RunConfig, apply_config_pairs, read_config_file
@@ -240,17 +242,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- script ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScriptAction:
+class ScriptAction(NamedTuple):
     at: int
     insert: tuple[str, tuple[Value, ...]] | None = None
     advance: int | None = None
 
 
+# ScriptAction((at, insert, advance)) without the Python-level __new__
+_action = partial(tuple.__new__, ScriptAction)
+
+
 def load_script(path: str | Path) -> list[ScriptAction]:
     """JSON Lines of ``{"at": MS, "insert": {"rel": R, "v": [...]}}`` or
     ``{"at": MS, "advance": MS}``; ``at`` must be non-decreasing and must not
-    fall inside a preceding advance, which moves the clock to ``at + MS``."""
+    fall inside a preceding advance, which moves the clock to ``at + MS``.
+
+    Each line is decoded once; ``json.loads`` runs only on a line that is not
+    one JSON value alone, to word the error."""
+    decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
     actions: list[ScriptAction] = []
     last_at = 0  # where the previous action left the clock
     for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -258,10 +267,15 @@ def load_script(path: str | Path) -> list[ScriptAction]:
         if not line:
             continue
         try:
-            entry = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-            raise ConfigError(f"{path}:{line_number}: invalid JSON: {exc}") from None
-        if not isinstance(entry, dict) or "at" not in entry:
+            entry, end = decode(line)
+        except ValueError:  # JSONDecodeError, or an integer past the digit limit
+            end = None
+        if end != len(line):  # not one JSON value alone: json.loads names the fault
+            try:
+                entry = json.loads(line)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line_number}: invalid JSON: {exc}") from None
+        if type(entry) is not dict or "at" not in entry:
             raise ConfigError(f"{path}:{line_number}: action needs an \"at\" time")
         at = entry["at"]
         if type(at) is not int or at < last_at:  # JSON true/false are not times
@@ -272,16 +286,16 @@ def load_script(path: str | Path) -> list[ScriptAction]:
         last_at = at
         if "insert" in entry:
             spec = entry["insert"]
-            if (not isinstance(spec, dict) or type(spec.get("rel")) is not str
+            if (type(spec) is not dict or type(spec.get("rel")) is not str
                     or type(spec.get("v")) is not list):
                 raise ConfigError(f"{path}:{line_number}: insert needs a string \"rel\" "
                                   "and an array \"v\" of values")
-            actions.append(ScriptAction(at=at, insert=(spec["rel"], tuple(spec["v"]))))
+            actions.append(_action((at, (spec["rel"], tuple(spec["v"])), None)))
         elif "advance" in entry:
             delta = entry["advance"]
             if type(delta) is not int or delta < 0:
                 raise ConfigError(f"{path}:{line_number}: advance must be a non-negative integer")
-            actions.append(ScriptAction(at=at, advance=delta))
+            actions.append(_action((at, None, delta)))
             last_at = at + delta
         else:
             raise ConfigError(f"{path}:{line_number}: action needs \"insert\" or \"advance\"")
@@ -295,13 +309,12 @@ def run_script(program, actions: list[ScriptAction], config: RunConfig) -> Engin
     engine = Engine(program, config=config, clock=VirtualClock(0), outbound=outbound)
     try:
         engine.load()
-        for action in actions:
-            engine.advance_to(action.at)
-            if action.insert is not None:
-                relation, values = action.insert
-                engine.process_event(ExternalInsert(relation, values))
-            elif action.advance is not None:
-                engine.advance_to(action.at + action.advance)
+        for at, insert, advance in actions:
+            engine.advance_to(at)
+            if insert is not None:
+                engine.process_event(ExternalInsert(*insert))
+            elif advance is not None:
+                engine.advance_to(at + advance)
         engine.close()
     finally:
         outbound.close()

@@ -65,21 +65,21 @@ BODY_LIMIT = 1024 * 1024
 # -- events ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalInsert:
     relation: str
     values: tuple[Value, ...]
     arrival_seq: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndpointCall:
     name: str
     args: tuple[Value, ...]
     arrival_seq: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimerTick:
     name: str
     arrival_seq: int = 0
@@ -101,12 +101,16 @@ class Firing(NamedTuple):
     t: int
 
 
+# Firing((seq, kind, name, t)) without the Python-level __new__ namedtuple adds
+_firing = partial(tuple.__new__, Firing)
+
+
 def export_firing_log(firings: Iterable[Firing]) -> str:
     line = _FIRING_JSON + "\n"
     return "".join([line % f for f in firings])
 
 
-@dataclass
+@dataclass(slots=True)
 class EventResult:
     firings: list[Firing]
     error: str | None = None
@@ -318,7 +322,7 @@ class Engine:
             self._log_event_error(f"event {event!r} aborted: {error}")
         finally:
             self.firing_log.extend(firings)
-        return EventResult(firings=firings, error=error)
+        return EventResult(firings, error)
 
     def _log_event_error(self, message: str) -> None:
         self.event_errors.append(message)
@@ -344,14 +348,13 @@ class Engine:
             return  # a tick of a stopped timer does nothing
         ts.body({})
 
-    def _enter_cascade(self, what: str) -> None:
-        """One level deeper; a raise ends the event, so callers step back up
-        only on a normal return."""
-        self._cascade_depth += 1
-        if self._cascade_depth > self.config.cascade_limit:
-            raise CascadeLimitError(
-                f"{what} cascade exceeded depth {self.config.cascade_limit}; aborting event"
-            )
+    def _cascade_exceeded(self, what: str) -> CascadeLimitError:
+        """What an INSERT or a CHECK raises when it would take the event's
+        cascade one level past the limit. Each goes one level deeper and steps
+        back up only on a normal return, since a raise ends the event."""
+        return CascadeLimitError(
+            f"{what} cascade exceeded depth {self.config.cascade_limit}; aborting event"
+        )
 
     # -- statements ---------------------------------------------------------
 
@@ -359,7 +362,9 @@ class Engine:
     # with the name the statement gives and its row's values.
 
     def _insert(self, relation: str, values: tuple[Value, ...], scope: Scope) -> None:
-        self._enter_cascade("insert")
+        self._cascade_depth += 1
+        if self._cascade_depth > self.config.cascade_limit:
+            raise self._cascade_exceeded("insert")
         self._do_insert(relation, values)
         self._cascade_depth -= 1
 
@@ -376,12 +381,12 @@ class Engine:
         fields, mapping, webhook, trigger = self._on_insert[relation]
         if mapping is not None:
             self._forward_insert(mapping, relation, fields, values)
-        record = self.store.insert(relation, values, t=self.clock.now_ms(), log=self.persistence)
+        record = self.store.insert(relation, values, self.clock.now_ms(), self.persistence)
         if webhook is not None:
             params = _row_params(fields, record.values)
             self.outbound.submit_async(webhook, [("T", str(record.t))] + params)
         if trigger is not None:
-            self._event_firings.append(Firing(record.seq, "trigger", relation, record.t))
+            self._event_firings.append(_firing((record.seq, "trigger", relation, record.t)))
             trigger({})
         self._run_rules(relation, record)
         return record
@@ -395,7 +400,7 @@ class Engine:
                 self._fire_rule(rs, record.seq, record.t)
 
     def _fire_rule(self, rs: RuleState, seq: int, t: int) -> None:
-        self._event_firings.append(Firing(seq, "rule", rs.decl.name, t))
+        self._event_firings.append(_firing((seq, "rule", rs.decl.name, t)))
         rs.body({})
 
     def _check_rule(self, name: str, values: tuple[()], scope: Scope) -> None:
@@ -404,8 +409,10 @@ class Engine:
         self.condition_evaluations += 1
         if eval_condition(rs.condition) is True:
             seq = self.store.next_seq - 1  # latest record overall, 0 if none
-            self._event_firings.append(Firing(seq, "rule", name, self.clock.now_ms()))
-            self._enter_cascade("check")
+            self._event_firings.append(_firing((seq, "rule", name, self.clock.now_ms())))
+            self._cascade_depth += 1
+            if self._cascade_depth > self.config.cascade_limit:
+                raise self._cascade_exceeded("check")
             rs.body({})
             self._cascade_depth -= 1
 
@@ -482,7 +489,11 @@ class Engine:
 
     def next_timer_ms(self) -> int | None:
         """When the earliest running timer is due; None when none runs."""
-        return min([ts.next_fire for ts in self.timer_states.values() if ts.running], default=None)
+        due = None
+        for ts in self.timer_states.values():
+            if ts.running and (due is None or ts.next_fire < due):
+                due = ts.next_fire
+        return due
 
     def run_due_timers(self) -> None:
         """One tick of each running timer due now, in declaration order.
@@ -508,13 +519,12 @@ class Engine:
         if target_ms < clock.now_ms():
             raise ValueError("cannot advance backwards")
         while True:
-            due = [ts.next_fire for ts in self.timer_states.values()
-                   if ts.running and ts.next_fire <= target_ms]
-            if not due:
+            due = self.next_timer_ms()
+            if due is None or due > target_ms:
                 break
             # a slot is missed only if the clock was set past it directly;
             # then the timer ticks once, as under the wall clock
-            clock.set_ms(max(min(due), clock.now_ms()))
+            clock.set_ms(max(due, clock.now_ms()))
             self.run_due_timers()
         clock.set_ms(target_ms)
 

@@ -23,6 +23,7 @@ import json
 import logging
 import threading
 from collections import deque
+from functools import partial
 from itertools import islice
 from math import isfinite
 from pathlib import Path
@@ -47,6 +48,14 @@ class Record(NamedTuple):
     t: int
     seq: int
     values: tuple[Value, ...]
+
+
+# Record((t, seq, values)) without the Python-level __new__ namedtuple adds
+_record = partial(tuple.__new__, Record)
+
+
+def _unknown_relation(relation: str) -> UnknownRelationError:
+    return UnknownRelationError(f"unknown relation {relation}")
 
 
 def _arity_error(relation: str, expected: int, got: int) -> ArityError:
@@ -92,13 +101,15 @@ class Store:
         try:
             return self.windows[relation]
         except KeyError:
-            raise UnknownRelationError(f"unknown relation {relation}") from None
+            raise _unknown_relation(relation) from None
 
     def check(self, relation: str, values: Iterable[object]) -> tuple[Value, ...]:
         """An outside row as ``insert`` takes it: a known relation, one scalar
         per field, each normalized by ``ensure_value``."""
-        self.window(relation)  # refuses an unknown relation
-        fields = self.relations[relation].fields
+        decl = self.relations.get(relation)
+        if decl is None:
+            raise _unknown_relation(relation)
+        fields = decl.fields
         checked = tuple(map(ensure_value, values))
         if len(checked) != len(fields):
             raise _arity_error(relation, len(fields), len(checked))
@@ -115,7 +126,7 @@ class Store:
         written there first, and the store is unchanged when that write raises."""
         window = self.windows[relation]
         seq = self.next_seq  # only the writing thread changes it
-        record = Record(t, seq, values)
+        record = _record((t, seq, values))
         if log is not None:
             log.append(relation, record)
         with self.lock:
@@ -263,7 +274,7 @@ def replay_log(store: Store, path: str | Path) -> int:
                     raise _arity_error(relation, len(fields), len(values))
             except (LiotError, OverflowError) as exc:  # OverflowError: float() of a huge integer
                 raise ReplayError(f"log line {line_number}: {exc}", line_number) from None
-            tails[relation].append(Record(t, seq, tuple(values)))
+            tails[relation].append(_record((t, seq, tuple(values))))
             next_seq = (seq if seq > next_seq else next_seq) + 1  # past every seq seen
             count += 1
         if raw and not raw.endswith(b"\n"):

@@ -33,26 +33,28 @@ NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 def ensure_value(raw: object) -> Value:
     """Normalize a raw scalar into a Value, rejecting anything else."""
-    if type(raw) is float and isfinite(raw):  # the common case, first
+    kind = type(raw)
+    if kind is float and isfinite(raw):  # the common case, first
         return raw
-    if isinstance(raw, str):
-        if not raw.isascii():
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate: no log or wire form
-                raise ScalarError(f"text with no UTF-8 form rejected: {raw!r}") from None
-        return raw
-    if raw is None or isinstance(raw, bool):
-        return raw
-    if isinstance(raw, (int, float)):
-        try:
-            number = float(raw)
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ScalarError(str(exc)) from None
-        if not isfinite(number):
-            raise ScalarError(f"non-finite number rejected: {raw!r}")
-        return number
-    raise ScalarError(f"not a scalar value: {type(raw).__name__}")
+    if kind is not int:  # a JSON integer goes straight to float() below
+        if isinstance(raw, str):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate: no log or wire form
+                    raise ScalarError(f"text with no UTF-8 form rejected: {raw!r}") from None
+            return raw
+        if raw is None or isinstance(raw, bool):
+            return raw
+        if not isinstance(raw, (int, float)):
+            raise ScalarError(f"not a scalar value: {kind.__name__}")
+    try:
+        number = float(raw)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ScalarError(str(exc)) from None
+    if not isfinite(number):
+        raise ScalarError(f"non-finite number rejected: {raw!r}")
+    return number
 
 
 def type_name(value: Value) -> str:

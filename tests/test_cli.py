@@ -15,7 +15,14 @@ import pytest
 
 import liot.cli
 import liot.engine
-from liot.cli import SimProfile, generate_requests, load_script, main, parse_gen_spec
+from liot.cli import (
+    ScriptAction,
+    SimProfile,
+    generate_requests,
+    load_script,
+    main,
+    parse_gen_spec,
+)
 from liot.config import RunConfig, apply_config_pairs, read_config_file
 from liot.errors import ConfigError
 from liot.gateway import GatewayServer
@@ -481,6 +488,32 @@ def test_load_script_shapes(tmp_path):
     actions = load_script(path)
     assert actions[0].insert == ("R", (1, "x"))
     assert actions[1].advance == 7
+    # built by keyword, as callers outside the loader build them
+    insert = ScriptAction(at=0, insert=("R", (1, "x")))
+    advance = ScriptAction(at=3, advance=7)
+    assert actions == [insert, advance]
+    assert (insert.at, insert.insert, insert.advance) == (0, ("R", (1, "x")), None)
+    assert (advance.at, advance.insert, advance.advance) == (3, None, 7)
+    assert repr(advance) == "ScriptAction(at=3, insert=None, advance=7)"
+
+
+@pytest.mark.parametrize("line, error", [
+    ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"at":0} {"at":1}', "invalid JSON: Extra data: line 1 column 10 (char 9)"),
+    ('{"at": ' + "1" * 5000 + "}",
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("[1]", 'action needs an "at" time'),
+    ('   {"at": 2, "advance": 3}   ', None),
+], ids=["not JSON", "two values", "digit limit", "not an object", "padded"])
+def test_load_script_error_text(tmp_path, line, error):
+    path = write(tmp_path, "s.jsonl", f'{{"at": 1, "advance": 0}}\n{line}\n')
+    if error is None:
+        assert load_script(path)[1] == ScriptAction(at=2, advance=3)
+    else:
+        with pytest.raises(ConfigError) as caught:
+            load_script(path)
+        assert str(caught.value) == f"{path}:2: {error}"
 
 
 def test_script_with_persistence_log(tmp_path, capsys):

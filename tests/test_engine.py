@@ -736,3 +736,36 @@ def test_oracle_evaluates_more_but_fires_the_same():
     assert naive.condition_evaluations == 5
 
     assert export_firing_log(indexed.firing_log) == export_firing_log(naive.firing_log) == ""
+
+
+def test_evaluations_are_counted_up_to_a_condition_that_raises():
+    # Q.Y + 1 and R.Y + 1 raise on text. Per insert, the conditions each engine
+    # evaluates, in declaration order (naive: B on R and A on Q are advisory,
+    # so an error B raises there is swallowed but still counted):
+    #   Q("t")    indexed: B raises          1    naive: A, B raises           2
+    #   R(1, "t") indexed: A, C raises       2    naive: A, B, C raises        3
+    #   R(7, 2)   indexed: A, C, D           3    naive: A, B, C, D            4
+    src = """
+RELATION R (X, Y)
+RELATION Q (Y)
+RULE A R.X > 0 {}
+RULE B Q.Y + 1 > 0 {}
+RULE C R.Y + 1 > 0 {}
+RULE D R.X > 5 {}
+"""
+    events = [ExternalInsert("Q", ("t",)), ExternalInsert("R", (1, "t")),
+              ExternalInsert("R", (7, 2))]
+    for engine_class, counts in [(Engine, [1, 3, 6]), (NaiveEngine, [2, 5, 9])]:
+        engine = make_engine(src, engine_class=engine_class)
+        seen = []
+        for event in events:
+            engine.process_event(event)
+            seen.append(engine.condition_evaluations)
+        assert seen == counts, engine_class.__name__
+        assert engine.event_errors == [
+            f"event ExternalInsert(relation={relation!r}, values={values!r}, arrival_seq=0) "
+            "aborted: EvalTypeError: + needs a number, got text"
+            for relation, values in [("Q", ("t",)), ("R", (1, "t"))]]
+        assert export_firing_log(engine.firing_log) == "".join(
+            f'{{"seq":{seq},"kind":"rule","name":"{name}","t":0}}\n'
+            for seq, name in [(2, "A"), (3, "A"), (3, "C"), (3, "D")])
