@@ -7,6 +7,7 @@ A flag of ``run`` or ``script`` is the config key of the same name.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import select
@@ -17,7 +18,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .clock import VirtualClock
 from .config import RunConfig, apply_config_pairs, read_config_file
@@ -85,12 +86,34 @@ def serving(program, config: RunConfig):
         yield runtime, server.base_url
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+@contextmanager
+def collector_policy():
+    """The cyclic collector's settings while ``run`` or ``script`` runs;
+    yields the freeze to call once the program and its inputs are loaded.
+
+    Collections follow the objects that survive, and a loaded command keeps
+    most of what it makes: a gen-0 threshold of 10,000 makes them rarer, and
+    the freeze keeps full collections off what was loaded (README,
+    "Execution model"). The old threshold and freeze count come back after.
+    """
+    threshold = gc.get_threshold()
+    frozen = gc.get_freeze_count()  # a host's own freeze is left as it is
+    gc.set_threshold(10000, 10, 10)
+    try:
+        yield gc.freeze if not frozen else lambda: None
+    finally:
+        if not frozen:
+            gc.unfreeze()
+        gc.set_threshold(*threshold)
+
+
+def cmd_run(args: argparse.Namespace, loaded: Callable[[], None]) -> int:
     runtime = None
     try:
         config = _config(args)
         program = parse_program(Path(args.file).read_text(encoding="utf-8"))
         with serving(program, config) as (runtime, base_url):
+            loaded()
             print(f"listening on {base_url}", file=sys.stderr)
             runtime.stopped.wait()
     except KeyboardInterrupt:
@@ -302,13 +325,16 @@ def load_script(path: str | Path) -> list[ScriptAction]:
     return actions
 
 
-def run_script(program, actions: list[ScriptAction], config: RunConfig) -> Engine:
+def run_script(program, actions: list[ScriptAction], config: RunConfig,
+               loaded: Callable[[], None] = lambda: None) -> Engine:
     """Deterministic run under the virtual clock; returns the finished engine
-    once every queued ACALL and webhook has been sent."""
+    once every queued ACALL and webhook has been sent. ``loaded`` is called
+    once the engine has loaded, before the first action."""
     outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
     engine = Engine(program, config=config, clock=VirtualClock(0), outbound=outbound)
     try:
         engine.load()
+        loaded()
         for at, insert, advance in actions:
             engine.advance_to(at)
             if insert is not None:
@@ -321,7 +347,7 @@ def run_script(program, actions: list[ScriptAction], config: RunConfig) -> Engin
     return engine
 
 
-def cmd_script(args: argparse.Namespace) -> int:
+def cmd_script(args: argparse.Namespace, loaded: Callable[[], None]) -> int:
     try:
         source = Path(args.file).read_text(encoding="utf-8")
         program = parse_program(source)
@@ -334,7 +360,7 @@ def cmd_script(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        engine = run_script(program, actions, config)
+        engine = run_script(program, actions, config, loaded)
     except LiotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -387,11 +413,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         return cmd_check(args.file)
     if args.command == "run":
-        return cmd_run(args)
+        with collector_policy() as loaded:
+            return cmd_run(args, loaded)
     if args.command == "simulate":
         return cmd_simulate(args)
     if args.command == "script":
-        return cmd_script(args)
+        with collector_policy() as loaded:
+            return cmd_script(args, loaded)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -77,7 +77,8 @@ class Store:
     on the loop thread (the engine's conditions and blocks, ``latest``) take no
     lock, since nothing else writes. HTTP readers (``read``,
     ``snapshot``, ``size``) take the lock, so they never observe a
-    half-applied insert.
+    half-applied insert. The lock is not re-entrant: whoever holds it takes
+    it once and calls nothing under it that takes it again.
     """
 
     def __init__(
@@ -95,7 +96,7 @@ class Store:
                 raise ValueError(f"window capacity must be positive, got {capacity}")
             self.windows[name] = deque(maxlen=capacity)
         self.next_seq = 1
-        self.lock = threading.RLock()
+        self.lock = threading.Lock()
 
     def window(self, relation: str) -> deque[Record]:
         try:

@@ -1,3 +1,4 @@
+import gc
 import http.client
 import json
 import logging
@@ -22,10 +23,15 @@ from liot.cli import (
     load_script,
     main,
     parse_gen_spec,
+    run_script,
 )
-from liot.config import RunConfig, apply_config_pairs, read_config_file
+from liot.clock import VirtualClock
+from liot.config import EngineConfig, RunConfig, apply_config_pairs, read_config_file
+from liot.engine import Engine, ExternalInsert
 from liot.errors import ConfigError
 from liot.gateway import GatewayServer
+from liot.parser import parse_program
+from liot.runtime import EngineRuntime
 from liot.values import parse_query_value
 
 from .helpers import get_json, http_get, liot_threads, record_wire, running_stack, stub_server
@@ -538,6 +544,101 @@ def test_script_insert_of_a_huge_integer_aborts_only_that_event(tmp_path, capsys
     assert capsys.readouterr().out == '{"seq":1,"kind":"trigger","name":"R","t":2}\n'
     assert any("ScalarError: int too large to convert to float" in r.getMessage()
                for r in caplog.records)
+
+
+# -- the collector policy of run and script -----------------------------------
+
+
+def collector_settings():
+    return gc.get_threshold(), gc.get_freeze_count()
+
+
+POLICY_PROGRAM = "RELATION R (X)\nTRIGGER (R) { }"
+
+
+def test_script_runs_under_the_collector_policy_and_restores_the_settings(
+        tmp_path, monkeypatch, capsys):
+    seen = []
+    export = liot.cli.export_firing_log
+
+    def recording_export(firing_log):  # called once every action has run
+        seen.append(collector_settings())
+        return export(firing_log)
+
+    monkeypatch.setattr(liot.cli, "export_firing_log", recording_export)
+    program = write(tmp_path, "t.liot", POLICY_PROGRAM)
+    script = write(tmp_path, "s.jsonl", script_lines({"at": 1, "insert": {"rel": "R", "v": [7]}}))
+    before = collector_settings()
+    assert main(["script", program, script]) == 0
+    assert collector_settings() == before
+    [(threshold, frozen)] = seen
+    assert threshold == (10000, 10, 10) and frozen > before[1]
+    assert capsys.readouterr().out == '{"seq":1,"kind":"trigger","name":"R","t":1}\n'
+
+
+def test_run_runs_under_the_collector_policy_and_restores_the_settings(tmp_path, monkeypatch):
+    seen = []
+    serving = liot.cli.serving
+
+    class StopAtOnce:  # in place of ``runtime.stopped``: notes the settings, returns
+        def wait(self):
+            seen.append(collector_settings())
+
+    @contextmanager
+    def recording_serving(program, config):
+        with serving(program, config) as (runtime, base_url):
+            runtime.stopped = StopAtOnce()
+            yield runtime, base_url
+
+    monkeypatch.setattr(liot.cli, "serving", recording_serving)
+    program = write(tmp_path, "t.liot", POLICY_PROGRAM)
+    before = collector_settings()
+    assert main(["run", program, "--port", "0"]) == 0
+    assert collector_settings() == before
+    [(threshold, frozen)] = seen
+    assert threshold == (10000, 10, 10) and frozen > before[1]
+
+
+@pytest.mark.parametrize("broken", ["program", "script"])
+def test_a_script_that_fails_to_load_restores_the_collector_settings(tmp_path, capsys, broken):
+    program = write(tmp_path, "t.liot", "RELATION" if broken == "program" else POLICY_PROGRAM)
+    script = write(tmp_path, "s.jsonl", "{}\n" if broken == "script" else "")
+    before = collector_settings()
+    assert main(["script", program, script]) == 1
+    assert collector_settings() == before
+    assert capsys.readouterr().out == ""
+
+
+def test_a_host_freeze_is_left_as_the_host_made_it(tmp_path):
+    program = write(tmp_path, "t.liot", POLICY_PROGRAM)
+    script = write(tmp_path, "s.jsonl", script_lines({"at": 1, "insert": {"rel": "R", "v": [7]}}))
+    gc.freeze()
+    try:
+        threshold, frozen = collector_settings()
+        assert main(["script", program, script]) == 0
+        # a frozen object is still freed when its last reference goes, so
+        # the count may fall; unfrozen, it would be 0, and frozen again, larger
+        assert gc.get_threshold() == threshold and 0 < gc.get_freeze_count() <= frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_library_callers_keep_the_default_collector():
+    before = collector_settings()
+    program = parse_program(POLICY_PROGRAM)
+    engine = Engine(program, config=EngineConfig(), clock=VirtualClock(0))
+    engine.load()
+    engine.process_event(ExternalInsert("R", (1.0,)))
+    engine.close()
+    run_script(program, [ScriptAction(at=1, insert=("R", (2.0,)))], RunConfig())
+    runtime = EngineRuntime(Engine(program, config=EngineConfig()))
+    runtime.start()
+    try:
+        runtime.submit_insert("R", (3.0,))
+        runtime.wait_idle()
+    finally:
+        runtime.shutdown()
+    assert collector_settings() == before
 
 
 # -- run (in process) ---------------------------------------------------------

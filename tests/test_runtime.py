@@ -1,6 +1,10 @@
+import gc
+import logging
+import socket
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +13,7 @@ import liot.clock
 from liot.clock import WallClock
 from liot.config import EngineConfig, RunConfig
 from liot.engine import Engine
+from liot.gateway import AsyncDelivery, OutboundClient
 from liot.parser import parse_program
 from liot.runtime import RECENT_LOG_LIMIT, EngineRuntime, LoopStoppedError, QueueFullError
 from liot.store import PersistenceLog
@@ -323,3 +328,65 @@ def test_a_tick_whose_log_write_fails_stops_the_loop(tmp_path, monkeypatch):
             runtime.submit_insert("TICKS", (1.0,))
     finally:
         runtime.shutdown()
+
+
+MEMORY_PROGRAM = """
+RELATION R (X, Z)
+RELATION D (X)
+RELATION ALARMS (X)
+TRIGGER (R) { D(R.X) }
+RULE HIGH R.X > 2 { ALARMS(R.X) }
+RULE FLAKY 10 / R.Z > 1 { D(R.Z) }
+"""
+MEMORY_RUN_INSERTS = 3000  # each run passes every bound: 1024 errors need 2048 inserts
+MEMORY_GROWTH_LIMIT = 32 * 1024  # bytes the heap may grow by over one run; 3000 floats are 72,000
+
+
+def test_memory_stays_bounded_over_a_long_run(monkeypatch):
+    """A second run as long as a warm-up that filled every window, ring and
+    queue leaves the heap where the warm-up left it.
+
+    Most inserts fire the trigger and HIGH, whose ALARMS row goes to a
+    webhook on a port that refuses connections, so every delivery fails or
+    is dropped; every other insert divides by zero in FLAKY, so its event
+    aborts and lands in ``event_errors``.
+    """
+    liot_logger = logging.getLogger("liot")  # pytest's own log capture keeps every record
+    monkeypatch.setattr(liot_logger, "handlers", [logging.NullHandler()])
+    monkeypatch.setattr(liot_logger, "propagate", False)
+    closed = socket.socket()  # bound but not listening: connections are refused
+    closed.bind(("127.0.0.1", 0))
+    webhook = f"http://127.0.0.1:{closed.getsockname()[1]}/hook"
+    config = EngineConfig(window_default=16, webhooks={"ALARMS": webhook})
+    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms, capacity=64)
+    engine = Engine(parse_program(MEMORY_PROGRAM), config=config, outbound=outbound)
+    runtime = EngineRuntime(engine)
+
+    def run() -> None:
+        for i in range(MEMORY_RUN_INSERTS):
+            runtime.submit_insert("R", (float(i % 10), float(i % 2)))
+            if i % 256 == 255:
+                runtime.wait_idle()  # the event queue never fills
+        runtime.wait_idle()
+        gc.collect()
+
+    tracemalloc.start()
+    try:
+        runtime.start()
+        run()
+        assert len(engine.event_errors) == RECENT_LOG_LIMIT
+        assert len(engine.firing_log) == RECENT_LOG_LIMIT
+        assert outbound.failed > 0 and outbound.delivered == 0
+        before = tracemalloc.take_snapshot()
+        run()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        runtime.shutdown()
+        outbound.close()
+        closed.close()
+    own = [tracemalloc.Filter(False, tracemalloc.__file__)]  # the snapshots themselves
+    growth = after.filter_traces(own).compare_to(before.filter_traces(own), "lineno")
+    grown = sum(stat.size_diff for stat in growth)
+    top = "\n".join(str(stat) for stat in growth[:5])
+    assert grown < MEMORY_GROWTH_LIMIT, f"heap grew by {grown} bytes; top sites:\n{top}"
