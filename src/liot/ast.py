@@ -2,6 +2,12 @@
 
 Structural equality deliberately ignores source positions so that
 ``parse(format(program)) == program`` holds for any valid program.
+
+Every statement is one node, ``Statement(kind, target, args)``. Its kind is
+its keyword, or INSERT for a bare relation name. The table ``STATEMENTS``
+maps each kind to what its target names (a relation, timer, rule or module)
+and whether it takes an argument row; the parser, the resolver, the
+formatter and the engine all dispatch on ``kind`` through it.
 """
 
 from __future__ import annotations
@@ -97,60 +103,28 @@ def gives_boolean(expr: Expression) -> bool:
 # --- statements --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Insert:
-    relation: str
-    args: tuple[Expression, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+# kind -> (what its target names, whether it takes an argument row)
+STATEMENTS = {
+    "INSERT": ("relation", True),
+    "START": ("timer", False),
+    "STOP": ("timer", False),
+    "ACTIVATE": ("rule", False),
+    "DEACTIVATE": ("rule", False),
+    "CHECK": ("rule", False),
+    "CALL": ("module", True),
+    "ACALL": ("module", True),
+}
 
 
 @dataclass(frozen=True)
-class StartTimer:
-    name: str
+class Statement:
+    """``kind`` (a key of STATEMENTS) acting on ``target``, with ``args`` as its row."""
+
+    kind: str
+    target: str
+    args: tuple[Expression, ...] = ()
     pos: Pos = field(default=NO_POS, compare=False)
 
-
-@dataclass(frozen=True)
-class StopTimer:
-    name: str
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(frozen=True)
-class Activate:
-    rule: str
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(frozen=True)
-class Deactivate:
-    rule: str
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(frozen=True)
-class Check:
-    rule: str
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(frozen=True)
-class CallModule:
-    name: str
-    args: tuple[Expression, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(frozen=True)
-class AcallModule:
-    name: str
-    args: tuple[Expression, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-Statement = Union[
-    Insert, StartTimer, StopTimer, Activate, Deactivate, Check, CallModule, AcallModule
-]
 
 Block = tuple[Statement, ...]
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .clock import VirtualClock
-from .config import RunConfig, apply_config_pairs, read_config_file
+from .config import DEFAULT_CALL_TIMEOUT_MS, RunConfig, apply_config_pairs, read_config_file
 from .engine import Engine, ExternalInsert, export_firing_log
 from .errors import ConfigError, LiotError, SourceError
 from .gateway import AsyncDelivery, GatewayServer, OutboundClient
@@ -204,7 +204,7 @@ def generate_requests(profile: SimProfile) -> list[list[tuple[str, str]]]:
     return requests
 
 
-def run_simulation(profile: SimProfile, timeout_ms: int = 5000) -> tuple[int, int, int]:
+def run_simulation(profile: SimProfile) -> tuple[int, int, int]:
     """Send the profile's requests in order over one keep-alive connection.
 
     A connection the server has closed, after an error or while idle, is
@@ -216,7 +216,7 @@ def run_simulation(profile: SimProfile, timeout_ms: int = 5000) -> tuple[int, in
 
     target = urllib.parse.urlsplit(profile.url())
     connect = HTTPSConnection if target.scheme == "https" else HTTPConnection
-    connection = connect(target.netloc, timeout=timeout_ms / 1000.0)
+    connection = connect(target.netloc, timeout=DEFAULT_CALL_TIMEOUT_MS / 1000.0)
     sent = ok = err = 0
     try:
         for params in generate_requests(profile):

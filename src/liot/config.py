@@ -16,11 +16,12 @@ from .errors import ConfigError
 
 DEFAULT_CASCADE_LIMIT = 64
 DEFAULT_CALL_TIMEOUT_MS = 5000
+DEFAULT_WINDOW = 1024
 
 
 @dataclass
 class EngineConfig:
-    window_default: int = 1024
+    window_default: int = DEFAULT_WINDOW
     window_overrides: dict[str, int] = field(default_factory=dict)
     cascade_limit: int = DEFAULT_CASCADE_LIMIT
     call_timeout_ms: int = DEFAULT_CALL_TIMEOUT_MS

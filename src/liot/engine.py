@@ -202,24 +202,20 @@ class Engine:
             window_overrides=self.config.window_overrides,
         )
         self._module_outputs = {m.name: m.outputs for m in program.modules}
-        # each statement class's action and the field naming the action's target
+        # each statement kind's action (ast.STATEMENTS)
         actions = {
-            ast.Insert: (self._insert, "relation"),
-            ast.StartTimer: (partial(self._set_running, True), "name"),
-            ast.StopTimer: (partial(self._set_running, False), "name"),
-            ast.Activate: (partial(self._set_active, True), "rule"),
-            ast.Deactivate: (partial(self._set_active, False), "rule"),
-            ast.Check: (self._check_rule, "rule"),
-            ast.CallModule: (self._call_module, "name"),
-            ast.AcallModule: (self._acall_module, "name"),
+            "INSERT": self._insert,
+            "START": partial(self._set_running, True),
+            "STOP": partial(self._set_running, False),
+            "ACTIVATE": partial(self._set_active, True),
+            "DEACTIVATE": partial(self._set_active, False),
+            "CHECK": self._check_rule,
+            "CALL": self._call_module,
+            "ACALL": self._acall_module,
         }
 
         def calls(block: ast.Block) -> list[Call]:
-            made = []
-            for stmt in block:
-                action, target = actions[type(stmt)]
-                made.append((action, getattr(stmt, target), getattr(stmt, "args", ())))
-            return made
+            return [(actions[stmt.kind], stmt.target, stmt.args) for stmt in block]
 
         # One compile makes every condition and every block, blocks in this order.
         blocks = [program.top_level_statements, *[r.body for r in program.rules],

@@ -64,23 +64,11 @@ def _format_args(args: tuple[ast.Expression, ...]) -> str:
 
 
 def format_statement(stmt: ast.Statement) -> str:
-    if isinstance(stmt, ast.Insert):
-        return f"{stmt.relation}({_format_args(stmt.args)})"
-    if isinstance(stmt, ast.StartTimer):
-        return f"START ({stmt.name})"
-    if isinstance(stmt, ast.StopTimer):
-        return f"STOP ({stmt.name})"
-    if isinstance(stmt, ast.Activate):
-        return f"ACTIVATE ({stmt.rule})"
-    if isinstance(stmt, ast.Deactivate):
-        return f"DEACTIVATE ({stmt.rule})"
-    if isinstance(stmt, ast.Check):
-        return f"CHECK ({stmt.rule})"
-    if isinstance(stmt, ast.CallModule):
-        return f"CALL {stmt.name} ({_format_args(stmt.args)})"
-    if isinstance(stmt, ast.AcallModule):
-        return f"ACALL {stmt.name} ({_format_args(stmt.args)})"
-    raise AssertionError(f"unhandled statement {stmt!r}")
+    if stmt.kind == "INSERT":
+        return f"{stmt.target}({_format_args(stmt.args)})"
+    if ast.STATEMENTS[stmt.kind][1]:  # CALL or ACALL: takes a row
+        return f"{stmt.kind} {stmt.target} ({_format_args(stmt.args)})"
+    return f"{stmt.kind} ({stmt.target})"
 
 
 def _format_block(body: ast.Block, lines: list[str]) -> None:

@@ -410,7 +410,7 @@ class GatewayServer:
     """HTTP server bound to the runtime; port 0 picks a free port. One ``liot-http``
     thread accepts connections and serves each on a daemon thread of its own."""
 
-    def __init__(self, runtime: EngineRuntime, host: str = "127.0.0.1", port: int = 8080):
+    def __init__(self, runtime: EngineRuntime, host: str, port: int):
         self.runtime = runtime
         self.relations = {r.name: r.fields for r in runtime.engine.program.relations}
         self.endpoints = {e.name: e.params for e in runtime.engine.program.endpoints}

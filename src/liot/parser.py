@@ -22,14 +22,6 @@ from . import ast
 from .errors import ParseError, SemanticError
 from .lexer import Token, TokenKind, tokenize
 
-_SIMPLE_STATEMENTS = {
-    "START": ast.StartTimer,
-    "STOP": ast.StopTimer,
-    "ACTIVATE": ast.Activate,
-    "DEACTIVATE": ast.Deactivate,
-    "CHECK": ast.Check,
-}
-
 
 class _Parser:
     def __init__(self, source: str):
@@ -236,27 +228,22 @@ class _Parser:
         token = self.current()
         pos = ast.Pos(token.line, token.column)
         if token.kind is TokenKind.IDENT:
-            name = self.advance().value
+            kind = "INSERT"  # the relation name is the target, read below
+        elif token.kind is TokenKind.KEYWORD and token.value in ast.STATEMENTS:
+            kind = self.advance().value
+        else:
+            raise ParseError(f"expected a statement, got {token.value!r}",
+                             token.line, token.column)
+        names, takes_row = ast.STATEMENTS[kind]  # type: ignore[index]
+        if takes_row:  # NAME ( row ) and CALL NAME ( row )
+            target = self.parse_ident(f"a {names} name")
             self.expect(TokenKind.PUNCT, "(")
             args = self.parse_args()
-            self.expect(TokenKind.PUNCT, ")")
-            return ast.Insert(name, args, pos=pos)  # type: ignore[arg-type]
-        if token.kind is TokenKind.KEYWORD and token.value in _SIMPLE_STATEMENTS:
-            ctor = _SIMPLE_STATEMENTS[token.value]  # type: ignore[index]
-            self.advance()
+        else:  # KEYWORD ( NAME )
             self.expect(TokenKind.PUNCT, "(")
-            target = self.parse_ident("a name")
-            self.expect(TokenKind.PUNCT, ")")
-            return ctor(target, pos=pos)
-        if token.kind is TokenKind.KEYWORD and token.value in ("CALL", "ACALL"):
-            word = self.advance().value
-            name = self.parse_ident("a module name")
-            self.expect(TokenKind.PUNCT, "(")
-            args = self.parse_args()
-            self.expect(TokenKind.PUNCT, ")")
-            ctor = ast.CallModule if word == "CALL" else ast.AcallModule
-            return ctor(name, args, pos=pos)
-        raise ParseError(f"expected a statement, got {token.value!r}", token.line, token.column)
+            target, args = self.parse_ident("a name"), ()
+        self.expect(TokenKind.PUNCT, ")")
+        return ast.Statement(kind, target, args, pos)  # type: ignore[arg-type]
 
     def parse_args(self) -> tuple[ast.Expression, ...]:
         if self.at(TokenKind.PUNCT, ")"):
@@ -380,9 +367,10 @@ class _Resolver:
     def __init__(self, program: ast.Program):
         self.program = program
         self.relations = {d.name: d for d in program.relations}
-        self.timers = {d.name for d in program.timers}
-        self.rules = {d.name for d in program.rules}
         self.modules = {d.name: d for d in program.modules}
+        # the names each statement target may take, by what it names
+        self.declared = {"relation": self.relations, "timer": {d.name for d in program.timers},
+                         "rule": {d.name for d in program.rules}, "module": self.modules}
 
     def fail(self, message: str, pos: ast.Pos) -> NoReturn:
         raise SemanticError(message, pos.line, pos.column)
@@ -512,29 +500,21 @@ class _Resolver:
         return tuple(self.resolve_statement(s) for s in block)
 
     def resolve_statement(self, stmt: ast.Statement) -> ast.Statement:
-        if isinstance(stmt, ast.Insert):
-            decl = self.relations.get(stmt.relation)
-            if decl is None:
-                self.fail(f"insert into unknown relation {stmt.relation}", stmt.pos)
-            if len(stmt.args) != len(decl.fields):
-                self.fail(
-                    f"relation {stmt.relation} takes {len(decl.fields)} values, got {len(stmt.args)}",
-                    stmt.pos,
-                )
-            return replace(stmt, args=tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args))
-        if isinstance(stmt, (ast.StartTimer, ast.StopTimer)):
-            if stmt.name not in self.timers:
-                self.fail(f"unknown timer {stmt.name}", stmt.pos)
-            return stmt
-        if isinstance(stmt, (ast.Activate, ast.Deactivate, ast.Check)):
-            if stmt.rule not in self.rules:
-                self.fail(f"unknown rule {stmt.rule}", stmt.pos)
-            return stmt
-        if isinstance(stmt, (ast.CallModule, ast.AcallModule)):
-            if stmt.name not in self.modules:
-                self.fail(f"unknown module {stmt.name}", stmt.pos)
-            return replace(stmt, args=tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args))
-        raise AssertionError(f"unhandled statement {stmt!r}")
+        entry = ast.STATEMENTS.get(stmt.kind)
+        if entry is None:
+            self.fail(f"unknown statement kind {stmt.kind!r}", stmt.pos)
+        names, takes_row = entry
+        if not takes_row and stmt.args:
+            self.fail(f"{stmt.kind} takes no arguments, got {len(stmt.args)}", stmt.pos)
+        if stmt.target not in self.declared[names]:
+            action = "insert into " if stmt.kind == "INSERT" else ""
+            self.fail(f"{action}unknown {names} {stmt.target}", stmt.pos)
+        if stmt.kind == "INSERT":
+            fields = self.relations[stmt.target].fields
+            if len(stmt.args) != len(fields):
+                self.fail(f"relation {stmt.target} takes {len(fields)} values, "
+                          f"got {len(stmt.args)}", stmt.pos)
+        return replace(stmt, args=tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args))
 
 
 def parse_program(source: str) -> ast.Program:

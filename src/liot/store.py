@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
 from .ast import RelationDecl
+from .config import DEFAULT_WINDOW
 from .errors import (
     ArityError,
     HistoryUnavailableError,
@@ -40,8 +41,6 @@ from .errors import (
 from .values import Value, dump_json, ensure_value, value_from_json, value_to_json
 
 logger = logging.getLogger("liot.store")
-
-DEFAULT_WINDOW = 1024
 
 
 class Record(NamedTuple):
@@ -266,8 +265,8 @@ def replay_log(store: Store, path: str | Path) -> int:
                     kind = type(v)
                     if kind is int:
                         v = float(v)
-                    elif kind is not str and not (kind is float and isfinite(v)):
-                        v = value_from_json(v)  # boolean, null, or the error
+                    elif not (kind is str and v.isascii() or kind is float and isfinite(v)):
+                        v = value_from_json(v)  # boolean, null, non-ASCII text, or the error
                     values.append(v)
                 store.window(relation)  # refuses an unknown relation
                 fields = store.relations[relation].fields

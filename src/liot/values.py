@@ -78,9 +78,7 @@ def value_to_json(value: Value) -> object:
 
 def value_from_json(raw: object) -> Value:
     """Inverse of value_to_json for persistence replay and module responses."""
-    if raw is None or isinstance(raw, (str, bool)):
-        return raw
-    if isinstance(raw, (int, float)):
+    if raw is None or isinstance(raw, (str, int, float)):  # bool is an int
         return ensure_value(raw)
     raise ScalarError(f"not a scalar JSON value: {raw!r}")
 

@@ -105,21 +105,14 @@ def random_statement(
     if kind == "insert":
         decl = rng.choice(relations)
         args = tuple(random_arg(rng, relations, scope_names) for _ in decl.fields)
-        return ast.Insert(decl.name, args)
-    if kind == "start":
-        return ast.StartTimer(rng.choice(timers))
-    if kind == "stop":
-        return ast.StopTimer(rng.choice(timers))
-    if kind == "activate":
-        return ast.Activate(rng.choice(rules))
-    if kind == "deactivate":
-        return ast.Deactivate(rng.choice(rules))
-    if kind == "check":
-        return ast.Check(rng.choice(rules))
+        return ast.Statement("INSERT", decl.name, args)
+    if kind in ("start", "stop"):
+        return ast.Statement(kind.upper(), rng.choice(timers))
+    if kind in ("activate", "deactivate", "check"):
+        return ast.Statement(kind.upper(), rng.choice(rules))
     decl = rng.choice(modules)
     args = tuple(random_arg(rng, relations, scope_names) for _ in range(rng.randint(0, 3)))
-    ctor = ast.CallModule if kind == "call" else ast.AcallModule
-    return ctor(decl.name, args)
+    return ast.Statement(kind.upper(), decl.name, args)
 
 
 def random_program(rng: random.Random) -> ast.Program:
@@ -237,16 +230,10 @@ def runnable_program(rng: random.Random, max_relations: int = 10, max_rules: int
             args = tuple(
                 ast.Literal(float(rng.randint(-50, 50))) for _ in decl.fields
             )
-            return ast.Insert(decl.name, args)
-        if kind == "start":
-            return ast.StartTimer(rng.choice(timer_names))
-        if kind == "stop":
-            return ast.StopTimer(rng.choice(timer_names))
-        if kind == "activate":
-            return ast.Activate(rng.choice(rule_names))
-        if kind == "deactivate":
-            return ast.Deactivate(rng.choice(rule_names))
-        return ast.Check(rng.choice(rule_names))
+            return ast.Statement("INSERT", decl.name, args)
+        if kind in ("start", "stop"):
+            return ast.Statement(kind.upper(), rng.choice(timer_names))
+        return ast.Statement(kind.upper(), rng.choice(rule_names))
 
     def block(max_len: int) -> ast.Block:
         return tuple(safe_statement(1) for _ in range(rng.randint(0, max_len)))

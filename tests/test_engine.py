@@ -646,7 +646,8 @@ def rule_over(condition):
 
 
 def insert_of(*args):
-    return ast.Program(relations=(R_XY,), top_level_statements=(ast.Insert("R", args),))
+    return ast.Program(relations=(R_XY,),
+                       top_level_statements=(ast.Statement("INSERT", "R", args),))
 
 
 def above(ref, literal=0.0):
@@ -671,6 +672,22 @@ def test_engine_refuses_a_tree_built_program_the_resolver_refuses(program, messa
     assert err.value.message == message
 
 
+@pytest.mark.parametrize("statement, message", [
+    (ast.Statement("DELETE", "R", pos=ast.Pos(3, 5)), "unknown statement kind 'DELETE'"),
+    (ast.Statement("START", "TM", (ast.Literal(1.0),), pos=ast.Pos(3, 5)),
+     "START takes no arguments, got 1"),
+    (ast.Statement("CHECK", "A", (ast.Literal(1.0), ast.Literal(2.0)), pos=ast.Pos(3, 5)),
+     "CHECK takes no arguments, got 2"),
+], ids=["unknown kind", "row on START", "row on CHECK"])
+def test_engine_refuses_a_statement_only_a_tree_can_build(statement, message):
+    program = ast.Program(relations=(R_XY,), timers=(ast.TimerDecl("TM", 10, ()),),
+                          rules=(ast.RuleDecl("A", above(ast.FieldRef("R", "X")), ()),),
+                          endpoints=(ast.EndpointDecl("E", (), (statement,)),))
+    with pytest.raises(SemanticError) as err:
+        Engine(program, config=EngineConfig(), clock=VirtualClock(0))
+    assert (err.value.line, err.value.column, err.value.message) == (3, 5, message)
+
+
 def test_engine_runs_a_tree_built_program_as_the_resolver_rewrites_it():
     # COUNTER.count names no relation: the resolver makes it a scope reference
     program = ast.Program(
@@ -678,8 +695,8 @@ def test_engine_runs_a_tree_built_program_as_the_resolver_rewrites_it():
         modules=(ast.ModuleDecl("COUNTER", ("count",)),),
         mappings=(ast.MapDecl("module", "COUNTER", "http://m.example/c"),),
         endpoints=(ast.EndpointDecl("E", (), (
-            ast.CallModule("COUNTER", ()),
-            ast.Insert("OUT", (ast.FieldRef("COUNTER", "count"),)),
+            ast.Statement("CALL", "COUNTER"),
+            ast.Statement("INSERT", "OUT", (ast.FieldRef("COUNTER", "count"),)),
         )),),
     )
     outbound = FakeOutbound({"http://m.example/c": (200, b'{"count": 7}')})

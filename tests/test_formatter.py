@@ -85,7 +85,7 @@ def test_number_rendering(value, text):
 def test_string_escaping_round_trips():
     program = ast.Program(
         relations=(ast.RelationDecl("R", ("X",)),),
-        top_level_statements=(ast.Insert("R", (ast.Literal('a"b\\c\nd\te'),)),),
+        top_level_statements=(ast.Statement("INSERT", "R", (ast.Literal('a"b\\c\nd\te'),)),),
     )
     assert parse_program(format_program(program)) == program
 

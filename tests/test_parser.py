@@ -52,10 +52,9 @@ CALL COUNTER (index, 2)
 ACALL COUNTER (name, "test")
 """
     program = parse_program(src)
-    kinds = [type(s).__name__ for s in program.top_level_statements]
+    kinds = [s.kind for s in program.top_level_statements]
     assert kinds == [
-        "Insert", "StopTimer", "StartTimer", "Deactivate", "Activate",
-        "Check", "CallModule", "AcallModule",
+        "INSERT", "STOP", "START", "DEACTIVATE", "ACTIVATE", "CHECK", "CALL", "ACALL",
     ]
     insert = program.top_level_statements[0]
     assert insert.args == (ast.Literal("38:E7:D8:D3:18:68"), ast.Literal(-87.0))
@@ -105,6 +104,67 @@ def test_statement_references_must_resolve_to_right_kind():
         parse_program("Q(1)")
 
 
+# Each statement form's errors, as rendered: the statement sits in a block on
+# line 6, from column 3, after the declarations below.
+STATEMENT_DECLS = "RELATION R (A, B)\nTIMER TM (10) {}\nRULE R1 R.A > 1 {}\nMODULE M (out)\n"
+STATEMENT_ERRORS = [
+    # missing "("
+    ("R 1, 2)", ParseError, "6:5: expected '(', got 1.0"),
+    ("START TM", ParseError, "6:9: expected '(', got 'TM'"),
+    ("STOP", ParseError, "7:1: expected '(', got '}'"),
+    ("ACTIVATE R1)", ParseError, "6:12: expected '(', got 'R1'"),
+    ("CHECK [", ParseError, "6:9: expected '(', got '['"),
+    ("CALL M 1)", ParseError, "6:10: expected '(', got 1.0"),
+    ("ACALL M", ParseError, "7:1: expected '(', got '}'"),
+    # a target that is not one identifier
+    ("START (1)", ParseError, "6:10: expected a name, got 1.0"),
+    ('STOP ("TM")', ParseError, "6:9: expected a name, got 'TM'"),
+    ("ACTIVATE (R1.A)", ParseError, "6:15: expected ')', got '.'"),
+    ("DEACTIVATE ()", ParseError, "6:15: expected a name, got ')'"),
+    ("START (TM TM)", ParseError, "6:13: expected ')', got 'TM'"),
+    ("CALL 1 (2)", ParseError, "6:8: expected a module name, got 1.0"),
+    ('ACALL "M" ()', ParseError, "6:9: expected a module name, got 'M'"),
+    # CALL and ACALL with no module name
+    ("CALL (1)", ParseError, "6:8: expected a module name, got '('"),
+    ("ACALL (1)", ParseError, "6:9: expected a module name, got '('"),
+    # an unclosed row or target
+    ("R(1, 2", ParseError, "7:1: expected ')', got '}'"),
+    ("R(1 2)", ParseError, "6:7: expected ')', got 2.0"),
+    ("CALL M (1,", ParseError, "7:1: expected a literal or name argument, got '}'"),
+    ("ACALL M (1", ParseError, "7:1: expected ')', got '}'"),
+    ("CHECK (R1", ParseError, "7:1: expected ')', got '}'"),
+    # names that resolve to nothing of the statement's kind
+    ("START (T2)", SemanticError, "6:3: unknown timer T2"),
+    ("STOP (R1)", SemanticError, "6:3: unknown timer R1"),
+    ("ACTIVATE (TM)", SemanticError, "6:3: unknown rule TM"),
+    ("DEACTIVATE (X)", SemanticError, "6:3: unknown rule X"),
+    ("CHECK (M)", SemanticError, "6:3: unknown rule M"),
+    ("CALL R (1)", SemanticError, "6:3: unknown module R"),
+    ("ACALL TM ()", SemanticError, "6:3: unknown module TM"),
+    ("Q(1)", SemanticError, "6:3: insert into unknown relation Q"),
+    ("TM(1)", SemanticError, "6:3: insert into unknown relation TM"),
+    # a row of the wrong arity, or with a bad name in it
+    ("R(1)", SemanticError, "6:3: relation R takes 2 values, got 1"),
+    ("R(1, 2, 3)", SemanticError, "6:3: relation R takes 2 values, got 3"),
+    ("R()", SemanticError, "6:3: relation R takes 2 values, got 0"),
+    ("R(1, R.C)", SemanticError, "6:3: relation R has no field C"),
+]
+
+
+@pytest.mark.parametrize("statement, error, rendered", STATEMENT_ERRORS)
+def test_statement_error_texts(statement, error, rendered):
+    with pytest.raises(error) as caught:
+        parse_program(f"{STATEMENT_DECLS}ENDPOINT E () {{\n  {statement}\n}}")
+    exc = caught.value
+    assert f"{exc.line}:{exc.column}: {exc.message}" == rendered
+
+
+def test_top_level_statement_error_position():
+    with pytest.raises(SemanticError) as caught:
+        parse_program(f"{STATEMENT_DECLS}  STOP (R1)")
+    assert caught.value.render() == "<input>:5:3: unknown timer R1"
+
+
 def test_mapping_must_reference_declared_name():
     with pytest.raises(SemanticError, match="unknown module"):
         parse_program("MAP MODULE M : a.jsp")
@@ -123,7 +183,7 @@ def test_endpoint_param_shadowing_relation_rejected():
 def test_names_resolve_program_wide():
     # a statement may reference a timer declared later in the file
     program = parse_program("ENDPOINT E () { STOP (TM) }\nTIMER TM (500) {}")
-    assert program.endpoints[0].body[0] == ast.StopTimer("TM")
+    assert program.endpoints[0].body[0] == ast.Statement("STOP", "TM")
 
 
 def test_declarations_not_allowed_inside_blocks():

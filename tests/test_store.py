@@ -402,6 +402,8 @@ MALFORMED = {
         '{"rel":"Q","t":1,"seq":5,"v":[%s]}' % ("9" * 5000),
         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
         "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    "lone surrogate": ('{"rel":"Q","t":1,"seq":5,"v":["\\ud800"]}',
+                       "text with no UTF-8 form rejected: '\\ud800'"),
     "nested value": ('{"rel":"Q","t":1,"seq":5,"v":[{"x":1}]}', "not a scalar JSON value: {'x': 1}"),
     "value checked before relation": (
         '{"rel":"NOPE","t":1,"seq":5,"v":[[1]]}', "not a scalar JSON value: [1]"),
@@ -424,12 +426,13 @@ def test_replay_names_the_malformed_line_and_leaves_the_store(tmp_path, case):
     path.write_text(f"{good}\n\n{line}\n{good}\n", encoding="utf-8")
     store = make_store()
     store.insert("R", ["aa", 1], t=0)
-    before = store.snapshot()
+    before, text = store.snapshot(), path.read_bytes()
     with pytest.raises(ReplayError) as err:
         replay_log(store, path)
     assert err.value.line_number == 3
     assert str(err.value) == f"log line 3: {message}"
     assert store.snapshot() == before and store.next_seq == 2
+    assert path.read_bytes() == text
 
 
 def test_replay_names_a_line_that_is_not_utf8_and_leaves_the_store(tmp_path):

@@ -25,11 +25,12 @@ def timer_program(rng: random.Random) -> ast.Program:
     names = [f"T{i}" for i in range(rng.randint(2, 4))]
 
     def switch() -> ast.Statement:
-        kind = rng.choice([ast.StartTimer, ast.StopTimer])
-        return kind(rng.choice(names))
+        kind = rng.choice(["START", "STOP"])
+        return ast.Statement(kind, rng.choice(names))
 
     def timer_body(i: int) -> ast.Block:
-        body = [ast.Insert("LOG", (ast.Literal(float(i)),))] if rng.random() < 0.8 else []
+        log = ast.Statement("INSERT", "LOG", (ast.Literal(float(i)),))
+        body = [log] if rng.random() < 0.8 else []
         body += [switch() for _ in range(rng.randint(0, 2))]
         rng.shuffle(body)
         return tuple(body)
