@@ -2,20 +2,23 @@
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
 A flag of ``run`` or ``script`` is the config key of the same name.
+
+``simulate`` turns each ``--gen`` into a field and its ``draw(rng)`` closure.
+``script`` decodes its JSON Lines with ``values.load_json_line``, the decoder
+log replay uses too, and prints the engine's whole firing log once the run
+ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import random
 import select
 import sys
 import time
 import urllib.parse
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -27,7 +30,7 @@ from .errors import ConfigError, LiotError, SourceError
 from .gateway import AsyncDelivery, GatewayServer, OutboundClient
 from .parser import parse_program
 from .runtime import EngineRuntime
-from .values import Value, parse_query_value, value_to_param
+from .values import Value, load_json_line, parse_query_value, value_to_param
 
 
 def _diag(filename: str, exc: SourceError) -> None:
@@ -133,31 +136,16 @@ def cmd_run(args: argparse.Namespace, loaded: Callable[[], None]) -> int:
 # -- simulate -----------------------------------------------------------------------
 
 
-@dataclass
-class FieldGen:
-    field: str
-    kind: str  # "constant" | "uniform" | "choice"
-    constant: Value = None
-    low: float = 0.0
-    high: float = 0.0
-    options: tuple[Value, ...] = ()
-
-    def draw(self, rng: random.Random) -> Value:
-        if self.kind == "constant":
-            return self.constant
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high)
-        return self.options[rng.randrange(len(self.options))]
-
-
-def parse_gen_spec(text: str) -> FieldGen:
-    """``FIELD=constant:V`` | ``FIELD=uniform:MIN:MAX`` | ``FIELD=choice:a,b,c``."""
+def parse_gen_spec(text: str) -> tuple[str, Callable[[random.Random], Value]]:
+    """``FIELD=constant:V`` | ``FIELD=uniform:MIN:MAX`` | ``FIELD=choice:a,b,c``;
+    returns the field and its ``draw(rng)``."""
     if "=" not in text:
         raise ConfigError(f"--gen needs FIELD=SPEC, got {text!r}")
     field, spec = text.split("=", 1)
     kind, _, rest = spec.partition(":")
     if kind == "constant":
-        return FieldGen(field, "constant", constant=parse_query_value(rest))
+        value = parse_query_value(rest)
+        return field, lambda rng: value  # draws nothing from the RNG
     if kind == "uniform":
         bounds = rest.split(":")
         if len(bounds) != 2:
@@ -166,46 +154,28 @@ def parse_gen_spec(text: str) -> FieldGen:
             low, high = float(bounds[0]), float(bounds[1])
         except ValueError:
             raise ConfigError(f"uniform bounds must be numbers, got {rest!r}") from None
-        return FieldGen(field, "uniform", low=low, high=high)
+        return field, lambda rng: rng.uniform(low, high)
     if kind == "choice":
         options = tuple(parse_query_value(part) for part in rest.split(","))
-        return FieldGen(field, "choice", options=options)
+        return field, lambda rng: options[rng.randrange(len(options))]
     raise ConfigError(f"unknown generator {kind!r}")
 
 
-@dataclass
-class SimProfile:
-    target: str
-    relation: str | None
-    endpoint: str | None
-    count: int
-    period_ms: int
-    gens: list[FieldGen]
-    seed: int
-
-    def url(self) -> str:
-        base = self.target.rstrip("/")
-        if self.relation is not None:
-            return f"{base}/rel/{self.relation}/insert"
-        return f"{base}/endpoint/{self.endpoint}"
-
-
-def generate_requests(profile: SimProfile) -> list[list[tuple[str, str]]]:
-    """The full deterministic parameter sequence for a profile.
+def generate_requests(gens: list[tuple[str, Callable[[random.Random], Value]]], count: int,
+                      seed: int) -> list[list[tuple[str, str]]]:
+    """The full deterministic parameter sequence of ``count`` requests.
 
     One RNG seeded once; each request draws its fields in --gen order, so the
     value stream is reproducible from the seed alone.
     """
-    rng = random.Random(profile.seed)
-    requests = []
-    for _ in range(profile.count):
-        params = [(g.field, value_to_param(g.draw(rng))) for g in profile.gens]
-        requests.append(params)
-    return requests
+    rng = random.Random(seed)
+    return [[(field, value_to_param(draw(rng))) for field, draw in gens] for _ in range(count)]
 
 
-def run_simulation(profile: SimProfile) -> tuple[int, int, int]:
-    """Send the profile's requests in order over one keep-alive connection.
+def run_simulation(url: str, requests: list[list[tuple[str, str]]],
+                   period_ms: int) -> tuple[int, int, int]:
+    """Send each request's parameters to ``url`` in order over one keep-alive
+    connection, ``period_ms`` apart.
 
     A connection the server has closed, after an error or while idle, is
     replaced before the next request goes out. A request that fails counts
@@ -214,12 +184,12 @@ def run_simulation(profile: SimProfile) -> tuple[int, int, int]:
     """
     from http.client import HTTPConnection, HTTPException, HTTPSConnection  # only simulate needs it
 
-    target = urllib.parse.urlsplit(profile.url())
+    target = urllib.parse.urlsplit(url)
     connect = HTTPSConnection if target.scheme == "https" else HTTPConnection
     connection = connect(target.netloc, timeout=DEFAULT_CALL_TIMEOUT_MS / 1000.0)
     sent = ok = err = 0
     try:
-        for params in generate_requests(profile):
+        for params in requests:
             sent += 1
             path = target.path + ("?" + urllib.parse.urlencode(params) if params else "")
             if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
@@ -235,8 +205,8 @@ def run_simulation(profile: SimProfile) -> tuple[int, int, int]:
             except (OSError, HTTPException):
                 connection.close()
                 err += 1
-            if profile.period_ms > 0 and sent < profile.count:
-                time.sleep(profile.period_ms / 1000.0)
+            if period_ms > 0 and sent < len(requests):
+                time.sleep(period_ms / 1000.0)
     finally:
         connection.close()
     return sent, ok, err
@@ -245,19 +215,16 @@ def run_simulation(profile: SimProfile) -> tuple[int, int, int]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         gens = [parse_gen_spec(g) for g in args.gen]
-        profile = SimProfile(
-            target=args.target,
-            relation=args.relation,
-            endpoint=args.endpoint,
-            count=args.count,
-            period_ms=args.period,
-            gens=gens,
-            seed=args.seed,
-        )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sent, ok, err = run_simulation(profile)
+    base = args.target.rstrip("/")
+    if args.relation is not None:
+        url = f"{base}/rel/{args.relation}/insert"
+    else:
+        url = f"{base}/endpoint/{args.endpoint}"
+    sent, ok, err = run_simulation(url, generate_requests(gens, args.count, args.seed),
+                                   args.period)
     print(f"sent={sent} ok={ok} err={err}")
     return 0 if err == 0 else 1
 
@@ -278,11 +245,7 @@ _action = partial(tuple.__new__, ScriptAction)
 def load_script(path: str | Path) -> list[ScriptAction]:
     """JSON Lines of ``{"at": MS, "insert": {"rel": R, "v": [...]}}`` or
     ``{"at": MS, "advance": MS}``; ``at`` must be non-decreasing and must not
-    fall inside a preceding advance, which moves the clock to ``at + MS``.
-
-    Each line is decoded once; ``json.loads`` runs only on a line that is not
-    one JSON value alone, to word the error."""
-    decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
+    fall inside a preceding advance, which moves the clock to ``at + MS``."""
     actions: list[ScriptAction] = []
     last_at = 0  # where the previous action left the clock
     for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -290,14 +253,9 @@ def load_script(path: str | Path) -> list[ScriptAction]:
         if not line:
             continue
         try:
-            entry, end = decode(line)
-        except ValueError:  # JSONDecodeError, or an integer past the digit limit
-            end = None
-        if end != len(line):  # not one JSON value alone: json.loads names the fault
-            try:
-                entry = json.loads(line)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_number}: invalid JSON: {exc}") from None
+            entry = load_json_line(line)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_number}: invalid JSON: {exc}") from None
         if type(entry) is not dict or "at" not in entry:
             raise ConfigError(f"{path}:{line_number}: action needs an \"at\" time")
         at = entry["at"]

@@ -26,6 +26,9 @@ The engine owns the timer rule for both clocks: ``run_due_timers`` ticks the
 timers due now. Under the wall clock the runtime's loop only asks
 ``next_timer_ms`` when to wake and then calls it; under a virtual clock
 ``advance_to`` calls it at each instant a timer comes due.
+
+Each firing is appended to ``firing_log`` as it happens, an aborted event's
+too; ``process_event`` returns only the error, if any, that aborted the event.
 """
 
 from __future__ import annotations
@@ -110,10 +113,12 @@ def export_firing_log(firings: Iterable[Firing]) -> str:
     return "".join([line % f for f in firings])
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EventResult:
-    firings: list[Firing]
-    error: str | None = None
+    error: str | None = None  # why the event was aborted; what it fired is in firing_log
+
+
+_COMPLETED = EventResult()  # what every event that raised nothing returns
 
 
 # -- engine-side state ------------------------------------------------------------
@@ -257,7 +262,6 @@ class Engine:
         # swaps in bounded deques that keep only the recent entries.
         self.firing_log: list[Firing] | deque[Firing] = []
         self.event_errors: list[str] | deque[str] = []
-        self._event_firings: list[Firing] = []  # the running event's, in order
         self._cascade_depth = 0  # the running event's nesting of inserts and CHECKs
         self.condition_evaluations = 0
         self.persistence: PersistenceLog | None = None
@@ -283,14 +287,11 @@ class Engine:
         # initialization statements are skipped when a previous run was
         # restored: replaying state and re-running the init would double it
         if self.replayed_records == 0:
-            firings = self._event_firings = []
             self._cascade_depth = 0
             try:
                 self._top_level({})  # one scope, as any block
             except EngineRuntimeError as exc:
                 self._log_event_error(f"top-level statement failed: {exc}")
-            finally:
-                self.firing_log.extend(firings)
 
     def close(self) -> None:
         if self.persistence is not None:
@@ -301,9 +302,7 @@ class Engine:
     def process_event(self, event: Event) -> EventResult:
         if not self.loaded:
             raise RuntimeError("engine not loaded")
-        firings = self._event_firings = []
         self._cascade_depth = 0
-        error: str | None = None
         try:
             if isinstance(event, ExternalInsert):
                 self._do_insert(event.relation, self.store.check(event.relation, event.values))
@@ -316,9 +315,8 @@ class Engine:
         except EngineRuntimeError as exc:
             error = f"{type(exc).__name__}: {exc}"
             self._log_event_error(f"event {event!r} aborted: {error}")
-        finally:
-            self.firing_log.extend(firings)
-        return EventResult(firings, error)
+            return EventResult(error)
+        return _COMPLETED
 
     def _log_event_error(self, message: str) -> None:
         self.event_errors.append(message)
@@ -382,7 +380,7 @@ class Engine:
             params = _row_params(fields, record.values)
             self.outbound.submit_async(webhook, [("T", str(record.t))] + params)
         if trigger is not None:
-            self._event_firings.append(_firing((record.seq, "trigger", relation, record.t)))
+            self.firing_log.append(_firing((record.seq, "trigger", relation, record.t)))
             trigger({})
         self._run_rules(relation, record)
         return record
@@ -396,7 +394,7 @@ class Engine:
                 self._fire_rule(rs, record.seq, record.t)
 
     def _fire_rule(self, rs: RuleState, seq: int, t: int) -> None:
-        self._event_firings.append(_firing((seq, "rule", rs.decl.name, t)))
+        self.firing_log.append(_firing((seq, "rule", rs.decl.name, t)))
         rs.body({})
 
     def _check_rule(self, name: str, values: tuple[()], scope: Scope) -> None:
@@ -405,7 +403,7 @@ class Engine:
         self.condition_evaluations += 1
         if eval_condition(rs.condition) is True:
             seq = self.store.next_seq - 1  # latest record overall, 0 if none
-            self._event_firings.append(_firing((seq, "rule", name, self.clock.now_ms())))
+            self.firing_log.append(_firing((seq, "rule", name, self.clock.now_ms())))
             self._cascade_depth += 1
             if self._cascade_depth > self.config.cascade_limit:
                 raise self._cascade_exceeded("check")

@@ -500,6 +500,11 @@ class _Resolver:
         return tuple(self.resolve_statement(s) for s in block)
 
     def resolve_statement(self, stmt: ast.Statement) -> ast.Statement:
+        for part, expected in (("kind", str), ("target", str), ("args", tuple)):
+            value = getattr(stmt, part)
+            if not isinstance(value, expected):  # only a tree built by hand holds one
+                self.fail(f"statement {part} must be a {expected.__name__}, "
+                          f"got {type(value).__name__}", stmt.pos)
         entry = ast.STATEMENTS.get(stmt.kind)
         if entry is None:
             self.fail(f"unknown statement kind {stmt.kind!r}", stmt.pos)

@@ -19,7 +19,6 @@ the window deques themselves, so ``replay_log`` refills a window in place.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from collections import deque
@@ -38,7 +37,7 @@ from .errors import (
     ReplayError,
     UnknownRelationError,
 )
-from .values import Value, dump_json, ensure_value, value_from_json, value_to_json
+from .values import Value, dump_json, ensure_value, load_json_line, value_from_json, value_to_json
 
 logger = logging.getLogger("liot.store")
 
@@ -213,7 +212,6 @@ def replay_log(store: Store, path: str | Path) -> int:
     starts on a line of its own. A whole last line without its newline is
     replayed like any other and then given its newline.
     """
-    decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
     windows = store.windows
     tails = {name: deque(w, maxlen=w.maxlen) for name, w in windows.items()}
     next_seq = store.next_seq
@@ -232,17 +230,12 @@ def replay_log(store: Store, path: str | Path) -> int:
             if not line:
                 continue
             try:
-                entry, end = decode(line)
-            except ValueError:  # JSONDecodeError, or an integer past the digit limit
-                end = None
-            if end != len(line):  # not one JSON value alone: json.loads names the fault
-                try:
-                    entry = json.loads(line)
-                except ValueError as exc:
-                    if not raw.endswith(b"\n"):
-                        torn = True
-                        break
-                    raise ReplayError(f"log line {line_number}: invalid JSON: {exc}", line_number)
+                entry = load_json_line(line)
+            except ValueError as exc:
+                if not raw.endswith(b"\n"):
+                    torn = True
+                    break
+                raise ReplayError(f"log line {line_number}: invalid JSON: {exc}", line_number)
             if type(entry) is not dict:
                 raise ReplayError(f"log line {line_number}: not an object", line_number)
             try:

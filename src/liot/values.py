@@ -119,6 +119,21 @@ def parse_query_value(text: str) -> Value:
     return text
 
 
+_raw_decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
+
+
+def load_json_line(line: str) -> object:
+    """The one JSON value in a stripped line, decoded once. A line that is not
+    one JSON value alone raises the ValueError that ``json.loads`` words."""
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except ValueError:  # JSONDecodeError, or an integer past the digit limit
+        pass
+    return json.loads(line)
+
+
 def dump_json(obj: object) -> str:
     """The one JSON serialization used on every wire surface (bit-stable)."""
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)

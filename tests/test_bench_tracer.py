@@ -43,6 +43,12 @@ RULE JUMP S.V - S.V[-1] > 10
 # Run 2 replays run 1's five records first, so the first JUMP is false
 # instead of unavailable; the counts come out the same.
 SCRIPT = [60, 20, 70]
+# Per run, whatever the script: one parse, one script load, one export.
+ONCE_PER_RUN = {
+    "parser.parse_program": 1,
+    "cli.load_script": 1,
+    "engine.export_firing_log": 1,
+}
 PER_RUN = {
     "engine.process_event": 3,
     "store.insert": 5,
@@ -61,7 +67,8 @@ def load_summarize():
     return module.summarize
 
 
-def traced_run(tmp_path: Path, run: int) -> dict[str, int]:
+def traced_run(tmp_path: Path, run: int) -> tuple[dict[str, int], dict[str, float], str]:
+    """Calls per span name, the counters, and stdout of one traced ``liot script``."""
     program = tmp_path / "p.liot"
     program.write_text(PROGRAM, encoding="utf-8")
     script = tmp_path / "s.jsonl"
@@ -74,14 +81,21 @@ def traced_run(tmp_path: Path, run: int) -> dict[str, int]:
          "--log", str(tmp_path / "run.jsonl")],
         env=env, capture_output=True, text=True, timeout=60)
     assert process.returncode == 0, process.stderr
-    stats, _ = load_summarize()(spans)
-    return {name: layer.calls for name, layer in stats.items()}
+    stats, counters = load_summarize()(spans)
+    return {name: layer.calls for name, layer in stats.items()}, counters, process.stdout
 
 
 def test_tracer_counts_every_insert_read_evaluation_and_replay(tmp_path):
-    first = traced_run(tmp_path, 1)
+    first, _, _ = traced_run(tmp_path, 1)
     assert {name: first.get(name, 0) for name in PER_RUN} == PER_RUN
     assert "store.replay" not in first  # nothing to replay yet
-    second = traced_run(tmp_path, 2)
+    second, _, _ = traced_run(tmp_path, 2)
     assert {name: second.get(name, 0) for name in PER_RUN} == PER_RUN
     assert second["store.replay"] == 1
+
+
+def test_tracer_counts_the_once_per_run_layers_and_every_printed_firing(tmp_path):
+    calls, counters, stdout = traced_run(tmp_path, 1)
+    assert {name: calls.get(name, 0) for name in ONCE_PER_RUN} == ONCE_PER_RUN
+    # HIGH, D's trigger, HIGH, D's trigger, JUMP
+    assert counters["engine.firings"] == stdout.count("\n") == 5

@@ -3,12 +3,14 @@ import http.client
 import json
 import logging
 import os
+import random
 import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+import urllib.parse
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -18,7 +20,6 @@ import liot.cli
 import liot.engine
 from liot.cli import (
     ScriptAction,
-    SimProfile,
     generate_requests,
     load_script,
     main,
@@ -146,12 +147,16 @@ def test_config_accepts_port_zero(tmp_path):
 
 
 def test_gen_spec_parsing():
-    constant = parse_gen_spec("MAC=constant:aa:bb")
-    assert constant.kind == "constant" and constant.constant == "aa:bb"
-    uniform = parse_gen_spec("RSSI=uniform:-90:-30")
-    assert (uniform.low, uniform.high) == (-90.0, -30.0)
-    choice = parse_gen_spec("S=choice:x,y,z")
-    assert choice.options == ("x", "y", "z")
+    rng = random.Random(3)
+    field, draw = parse_gen_spec("MAC=constant:aa:bb")
+    state = rng.getstate()
+    assert (field, draw(rng)) == ("MAC", "aa:bb")
+    assert rng.getstate() == state  # a constant draws nothing
+    field, draw = parse_gen_spec("RSSI=uniform:-90:-30")
+    assert field == "RSSI" and draw(rng) == random.Random(3).uniform(-90.0, -30.0)
+    assert all(-90.0 <= draw(rng) <= -30.0 for _ in range(200))
+    field, draw = parse_gen_spec("S=choice:x,y,1")
+    assert field == "S" and {draw(rng) for _ in range(200)} == {"x", "y", 1.0}
     with pytest.raises(ConfigError):
         parse_gen_spec("nonsense")
     with pytest.raises(ConfigError):
@@ -159,18 +164,10 @@ def test_gen_spec_parsing():
 
 
 def test_seeded_generation_is_reproducible():
-    profile = SimProfile(
-        target="http://x",
-        relation="R",
-        endpoint=None,
-        count=500,
-        period_ms=0,
-        gens=[parse_gen_spec(spec) for spec in ("MAC=constant:aa", "RSSI=uniform:-90:-30",
-                                                 "S=uniform:0:1e-9")],
-        seed=42,
-    )
-    first = generate_requests(profile)
-    second = generate_requests(profile)
+    gens = [parse_gen_spec(spec) for spec in ("MAC=constant:aa", "RSSI=uniform:-90:-30",
+                                              "S=uniform:0:1e-9")]
+    first = generate_requests(gens, 500, 42)
+    second = generate_requests(gens, 500, 42)
     assert first == second
     assert len(first) == 500
     values = [float(dict(p)["RSSI"]) for p in first]
@@ -230,6 +227,45 @@ def serving(handler):
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
+
+
+# The first three requests of seed 42, pinned as data: the draw order (one
+# RNG, fields in --gen order, constant drawing nothing) is part of the contract.
+SEED_42 = [
+    [("MAC", "aa"), ("RSSI", "-51.63439209252697"), ("S", "x")],
+    [("MAC", "aa"), ("RSSI", "-45.50697001441003"), ("S", "x")],
+    [("MAC", "aa"), ("RSSI", "-76.60735571107064"), ("S", "z")],
+]
+
+
+def simulated(*specs, count=3, seed=42):
+    """The query parameters of each request ``liot simulate`` sends, in order."""
+    class Handler(SinkHandler):
+        seen = []
+        queries = []
+
+        def do_GET(self):
+            self.queries.append(urllib.parse.parse_qsl(urllib.parse.urlsplit(self.path).query))
+            super().do_GET()
+
+    with serving(Handler) as url:
+        argv = ["simulate", "--target", url, "--relation", "R", "--count", str(count),
+                "--seed", str(seed)]
+        for spec in specs:
+            argv += ["--gen", spec]
+        assert main(argv) == 0
+    return Handler.queries
+
+
+def test_simulate_sends_the_pinned_sequence_of_a_seed(capsys):
+    assert simulated("MAC=constant:aa", "RSSI=uniform:-90:-30", "S=choice:x,y,z") == SEED_42
+
+
+def test_a_constant_field_leaves_the_other_draws_unchanged(capsys):
+    without_mac = [[p for p in request if p[0] != "MAC"] for request in SEED_42]
+    assert simulated("RSSI=uniform:-90:-30", "S=choice:x,y,z") == without_mac
+    moved = simulated("RSSI=uniform:-90:-30", "MAC=constant:aa", "S=choice:x,y,z")
+    assert [sorted(request) for request in moved] == [sorted(request) for request in SEED_42]
 
 
 def test_simulate_never_resends_a_dropped_request(capsys):

@@ -42,6 +42,13 @@ class FakeOutbound:
         self.async_calls.append((url, params))
 
 
+def process(engine, event):
+    """Process ``event``; returns its result and what it appended to the firing log."""
+    before = len(engine.firing_log)
+    result = engine.process_event(event)
+    return result, engine.firing_log[before:]
+
+
 def make_engine(source, config=None, outbound=None, engine_class=Engine):
     engine = engine_class(
         parse_program(source),
@@ -108,16 +115,16 @@ def test_relation_free_condition_depends_on_everything():
 
 def test_insert_fires_matching_rule():
     engine = make_engine(COMPOSITE)
-    result = engine.process_event(ExternalInsert("R", ("38:E7:D8:D3:18:68", -87.0)))
+    result, firings = process(engine, ExternalInsert("R", ("38:E7:D8:D3:18:68", -87.0)))
     assert result.error is None
-    assert [(f.kind, f.name) for f in result.firings] == [("trigger", "R"), ("rule", "R1")]
-    assert result.firings[-1] == Firing(seq=1, kind="rule", name="R1", t=0)
+    assert [(f.kind, f.name) for f in firings] == [("trigger", "R"), ("rule", "R1")]
+    assert firings[-1] == Firing(seq=1, kind="rule", name="R1", t=0)
 
 
 def test_insert_with_false_condition_fires_nothing():
     engine = make_engine(COMPOSITE)
-    result = engine.process_event(ExternalInsert("R", ("aa", -50.0)))
-    assert [(f.kind, f.name) for f in result.firings] == [("trigger", "R")]
+    _, firings = process(engine, ExternalInsert("R", ("aa", -50.0)))
+    assert [(f.kind, f.name) for f in firings] == [("trigger", "R")]
 
 
 def test_trigger_runs_strictly_before_rules():
@@ -135,18 +142,18 @@ RULE R1 R.X > 0
 }
 """
     engine = make_engine(src)
-    result = engine.process_event(ExternalInsert("R", (5.0,)))
-    assert [(f.kind, f.name) for f in result.firings] == [("trigger", "R"), ("rule", "R1")]
+    _, firings = process(engine, ExternalInsert("R", (5.0,)))
+    assert [(f.kind, f.name) for f in firings] == [("trigger", "R"), ("rule", "R1")]
     values = [r.values[0] for r in engine.store.read("LOG", 10)]
     assert values == [2.0, 1.0]  # newest first: rule ran after trigger
 
 
 def test_endpoint_binds_params_positionally():
     engine = make_engine(COMPOSITE)
-    result = engine.process_event(EndpointCall("NEW_RECORD", ("aa:bb", -70.0)))
+    _, firings = process(engine, EndpointCall("NEW_RECORD", ("aa:bb", -70.0)))
     assert engine.store.latest("R", "MAC") == "aa:bb"
     assert engine.store.latest("R", "RSSI") == -70.0
-    assert [(f.kind, f.name) for f in result.firings] == [("trigger", "R"), ("rule", "R1")]
+    assert [(f.kind, f.name) for f in firings] == [("trigger", "R"), ("rule", "R1")]
 
 
 def test_endpoint_arity_mismatch_is_event_error():
@@ -171,8 +178,8 @@ ENDPOINT THREE ()
 }
 """
     engine = make_engine(src)
-    result = engine.process_event(EndpointCall("THREE", ()))
-    assert [(f.kind, f.name) for f in result.firings] == [("trigger", "OUT")] * 3
+    _, firings = process(engine, EndpointCall("THREE", ()))
+    assert [(f.kind, f.name) for f in firings] == [("trigger", "OUT")] * 3
 
 
 def test_deactivate_gates_propagation_but_not_check():
@@ -188,10 +195,10 @@ ENDPOINT KICK () { CHECK (R1) }
 """
     engine = make_engine(src)
     engine.process_event(EndpointCall("OFF", ()))
-    result = engine.process_event(ExternalInsert("R", ("aa", -87.0)))
-    assert result.firings == []  # inactive rule never fires from propagation
-    result = engine.process_event(EndpointCall("KICK", ()))
-    assert [(f.kind, f.name) for f in result.firings] == [("rule", "R1")]
+    _, firings = process(engine, ExternalInsert("R", ("aa", -87.0)))
+    assert firings == []  # inactive rule never fires from propagation
+    _, firings = process(engine, EndpointCall("KICK", ()))
+    assert [(f.kind, f.name) for f in firings] == [("rule", "R1")]
     assert engine.store.size("ALARM") == 1
 
 
@@ -202,8 +209,8 @@ RULE R1 R.RSSI < -60 {}
 ENDPOINT KICK () { CHECK (R1) }
 """
     engine = make_engine(src)
-    result = engine.process_event(EndpointCall("KICK", ()))
-    assert result.firings == [] and result.error is None
+    result, firings = process(engine, EndpointCall("KICK", ()))
+    assert firings == [] and result.error is None
 
 
 def test_activate_restores_propagation():
@@ -215,10 +222,20 @@ ENDPOINT ON () { ACTIVATE (R1) }
 """
     engine = make_engine(src)
     engine.process_event(EndpointCall("OFF", ()))
-    assert engine.process_event(ExternalInsert("R", (1.0,))).firings == []
+    assert process(engine, ExternalInsert("R", (1.0,)))[1] == []
     engine.process_event(EndpointCall("ON", ()))
-    assert [(f.kind, f.name) for f in engine.process_event(ExternalInsert("R", (1.0,))).firings] == [
-        ("rule", "R1")
+    _, firings = process(engine, ExternalInsert("R", (1.0,)))
+    assert [(f.kind, f.name) for f in firings] == [("rule", "R1")]
+
+
+def test_an_event_the_cascade_limit_aborts_keeps_its_firings_in_order():
+    engine = make_engine("RELATION R (X)\nTRIGGER (R) { R(1) }",
+                         config=EngineConfig(cascade_limit=64))
+    before = len(engine.firing_log)
+    result = engine.process_event(ExternalInsert("R", (0.0,)))
+    assert result.error.startswith("CascadeLimitError")
+    assert [(f.seq, f.kind, f.name) for f in engine.firing_log[before:]] == [
+        (seq, "trigger", "R") for seq in range(1, 66)
     ]
 
 
@@ -230,8 +247,8 @@ RULE B R.X > 0 { LOG(2) }
 RULE A R.X > 0 { LOG(1) }
 """
     engine = make_engine(src)
-    result = engine.process_event(ExternalInsert("R", (5.0,)))
-    assert [f.name for f in result.firings] == ["B", "A"]
+    _, firings = process(engine, ExternalInsert("R", (5.0,)))
+    assert [f.name for f in firings] == ["B", "A"]
 
 
 def test_stop_timer_silences_ticks():
@@ -345,9 +362,9 @@ def test_compiled_conditions_and_rows_read_the_replayed_history(tmp_path):
     first.process_event(ExternalInsert("R", (1.0,)))
     first.close()
     second = make_engine(src, config=EngineConfig(log_path=log))
-    result = second.process_event(ExternalInsert("R", (2.0,)))
+    _, firings = process(second, ExternalInsert("R", (2.0,)))
     second.close()
-    assert [f.name for f in result.firings] == ["up"]
+    assert [f.name for f in firings] == ["up"]
     assert second.store.latest("OUT", "V") == 1.0
 
 
@@ -678,7 +695,13 @@ def test_engine_refuses_a_tree_built_program_the_resolver_refuses(program, messa
      "START takes no arguments, got 1"),
     (ast.Statement("CHECK", "A", (ast.Literal(1.0), ast.Literal(2.0)), pos=ast.Pos(3, 5)),
      "CHECK takes no arguments, got 2"),
-], ids=["unknown kind", "row on START", "row on CHECK"])
+    (ast.Statement(["INSERT"], "R", pos=ast.Pos(3, 5)), "statement kind must be a str, got list"),
+    (ast.Statement("START", ["TM"], pos=ast.Pos(3, 5)),
+     "statement target must be a str, got list"),
+    (ast.Statement("INSERT", "R", [ast.Literal(1.0), ast.Literal(2.0)], pos=ast.Pos(3, 5)),
+     "statement args must be a tuple, got list"),
+], ids=["unknown kind", "row on START", "row on CHECK", "list kind", "list target",
+        "list args"])
 def test_engine_refuses_a_statement_only_a_tree_can_build(statement, message):
     program = ast.Program(relations=(R_XY,), timers=(ast.TimerDecl("TM", 10, ()),),
                           rules=(ast.RuleDecl("A", above(ast.FieldRef("R", "X")), ()),),
