@@ -49,7 +49,8 @@ class FieldRef:
 
 @dataclass(frozen=True)
 class ScopeRef:
-    """A name resolved from the enclosing block scope at run time.
+    """A name a statement's row reads from its block, bound when the block
+    is compiled.
 
     Either a bare identifier (endpoint parameter) or a dotted name such as
     ``COUNTER.count`` bound by a preceding module call.

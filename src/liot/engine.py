@@ -20,7 +20,9 @@ timer, endpoint, trigger and top-level statements) to generated functions in
 one go (``evaluator``). What a statement does stays here: each is handed over
 as a call of one of the engine's actions, which the block makes with the
 statement's row, computed when the statement's turn comes. An action looks
-up the rule, timer or module its statement names when it runs.
+up the rule, timer or module its statement names when it runs. A block's
+names are its function's locals: an endpoint body takes the call's values
+as its parameters, and every other body takes none.
 
 The engine owns the timer rule for both clocks: ``run_due_timers`` ticks the
 timers due now. Under the wall clock the runtime's loop only asks
@@ -54,7 +56,7 @@ from .errors import (
     ScalarError,
     UnknownNameError,
 )
-from .evaluator import Body, Call, Condition, Scope, compile_functions, eval_condition
+from .evaluator import Body, Call, Condition, compile_functions, eval_condition
 from .parser import resolve_program
 from .store import PersistenceLog, Record, Store, replay_log
 from .values import Value, dump_json, ensure_value, parse_query_value, type_name, value_to_param
@@ -207,6 +209,8 @@ class Engine:
             window_overrides=self.config.window_overrides,
         )
         self._module_outputs = {m.name: m.outputs for m in program.modules}
+        # the names a CALL of each module binds, in the order _call_module returns them
+        binds = {m.name: tuple(f"{m.name}.{o}" for o in m.outputs) for m in program.modules}
         # each statement kind's action (ast.STATEMENTS)
         actions = {
             "INSERT": self._insert,
@@ -219,15 +223,18 @@ class Engine:
             "ACALL": self._acall_module,
         }
 
-        def calls(block: ast.Block) -> list[Call]:
-            return [(actions[stmt.kind], stmt.target, stmt.args) for stmt in block]
+        def calls(block: ast.Block,
+                  params: tuple[str, ...] = ()) -> tuple[tuple[str, ...], list[Call]]:
+            return params, [(actions[stmt.kind], stmt.target, stmt.args,
+                             binds[stmt.target] if stmt.kind == "CALL" else ()) for stmt in block]
 
         # One compile makes every condition and every block, blocks in this order.
-        blocks = [program.top_level_statements, *[r.body for r in program.rules],
-                  *[t.body for t in program.timers], *[e.body for e in program.endpoints],
-                  *[t.body for t in program.triggers]]
+        blocks = [calls(program.top_level_statements), *[calls(r.body) for r in program.rules],
+                  *[calls(t.body) for t in program.timers],
+                  *[calls(e.body, e.params) for e in program.endpoints],
+                  *[calls(t.body) for t in program.triggers]]
         conditions, bodies = compile_functions(self.store, [r.condition for r in program.rules],
-                                               [calls(block) for block in blocks])
+                                               blocks)
         bodies = iter(bodies)
         self._top_level = next(bodies)
         self.rule_states: list[RuleState] = [
@@ -289,7 +296,7 @@ class Engine:
         if self.replayed_records == 0:
             self._cascade_depth = 0
             try:
-                self._top_level({})  # one scope, as any block
+                self._top_level()
             except EngineRuntimeError as exc:
                 self._log_event_error(f"top-level statement failed: {exc}")
 
@@ -332,7 +339,7 @@ class Engine:
                 f"endpoint {event.name} takes {len(params)} parameters, "
                 f"got {len(event.args)}"
             )
-        body({p: ensure_value(v) for p, v in zip(params, event.args)})
+        body(*map(ensure_value, event.args))
 
     def _run_timer(self, name: str) -> None:
         ts = self.timer_states.get(name)
@@ -340,7 +347,7 @@ class Engine:
             raise UnknownNameError(f"unknown timer {name}")
         if not ts.running:
             return  # a tick of a stopped timer does nothing
-        ts.body({})
+        ts.body()
 
     def _cascade_exceeded(self, what: str) -> CascadeLimitError:
         """What an INSERT or a CHECK raises when it would take the event's
@@ -352,26 +359,26 @@ class Engine:
 
     # -- statements ---------------------------------------------------------
 
-    # An action runs one statement, called as action(target, values, scope)
-    # with the name the statement gives and its row's values.
+    # An action runs one statement, called as action(target, values) with the
+    # name the statement gives and its row's values.
 
-    def _insert(self, relation: str, values: tuple[Value, ...], scope: Scope) -> None:
+    def _insert(self, relation: str, values: tuple[Value, ...]) -> None:
         self._cascade_depth += 1
         if self._cascade_depth > self.config.cascade_limit:
             raise self._cascade_exceeded("insert")
         self._do_insert(relation, values)
         self._cascade_depth -= 1
 
-    def _set_running(self, running: bool, name: str, values: tuple[()], scope: Scope) -> None:
+    def _set_running(self, running: bool, name: str, values: tuple[()]) -> None:
         ts = self.timer_states[name]
         ts.running = running
         if running:
             ts.next_fire = self.clock.now_ms() + ts.decl.interval_ms
 
-    def _set_active(self, active: bool, name: str, values: tuple[()], scope: Scope) -> None:
+    def _set_active(self, active: bool, name: str, values: tuple[()]) -> None:
         self._rules_by_name[name].active = active
 
-    def _do_insert(self, relation: str, values: tuple[Value, ...]) -> Record:
+    def _do_insert(self, relation: str, values: tuple[Value, ...]) -> None:
         fields, mapping, webhook, trigger = self._on_insert[relation]
         if mapping is not None:
             self._forward_insert(mapping, relation, fields, values)
@@ -381,9 +388,8 @@ class Engine:
             self.outbound.submit_async(webhook, [("T", str(record.t))] + params)
         if trigger is not None:
             self.firing_log.append(_firing((record.seq, "trigger", relation, record.t)))
-            trigger({})
+            trigger()
         self._run_rules(relation, record)
-        return record
 
     def _run_rules(self, relation: str, record: Record) -> None:
         for rs in self.dependency_index.get(relation, ()):
@@ -395,9 +401,9 @@ class Engine:
 
     def _fire_rule(self, rs: RuleState, seq: int, t: int) -> None:
         self.firing_log.append(_firing((seq, "rule", rs.decl.name, t)))
-        rs.body({})
+        rs.body()
 
-    def _check_rule(self, name: str, values: tuple[()], scope: Scope) -> None:
+    def _check_rule(self, name: str, values: tuple[()]) -> None:
         """CHECK is an explicit command: it ignores the active flag."""
         rs = self._rules_by_name[name]
         self.condition_evaluations += 1
@@ -407,7 +413,7 @@ class Engine:
             self._cascade_depth += 1
             if self._cascade_depth > self.config.cascade_limit:
                 raise self._cascade_exceeded("check")
-            rs.body({})
+            rs.body()
             self._cascade_depth -= 1
 
     # -- outbound HTTP --------------------------------------------------------
@@ -446,9 +452,10 @@ class Engine:
         url = resolve_target(mapping.target, self.config.base_url)
         return url, [(f"p{i}", value_to_param(v)) for i, v in enumerate(values, 1)]
 
-    def _call_module(self, name: str, values: tuple[Value, ...], scope: Scope) -> None:
-        """GET the module and bind exactly the declared outputs of its JSON
-        reply into the scope as ``NAME.output``."""
+    def _call_module(self, name: str, values: tuple[Value, ...]) -> tuple[Value, ...]:
+        """GET the module and give the values of exactly its declared outputs
+        in its JSON reply, in declaration order, which its block binds as
+        ``NAME.output``."""
         url, params = self._module_request(name, values)
         status, body = self._get(url, params, "module call")
         if status != 200:
@@ -457,7 +464,7 @@ class Engine:
             raise ModuleCallError("malformed-body", f"module response exceeds {BODY_LIMIT} bytes")
         outputs = self._module_outputs[name]
         if not outputs:
-            return
+            return ()
 
         def _reject_constant(text: str):
             raise ModuleCallError("malformed-body", f"non-finite number {text} in module response")
@@ -468,15 +475,17 @@ class Engine:
             raise ModuleCallError("malformed-body", f"module response is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ModuleCallError("malformed-body", "module response is not a JSON object")
+        bound = []
         for output in outputs:
             if output not in payload:
                 raise ModuleCallError("missing-output", f"module response lacks output {output!r}")
             raw = payload[output]
             if isinstance(raw, (dict, list)):
                 raise ModuleCallError("malformed-body", f"output {output!r} is not a scalar")
-            scope[f"{name}.{output}"] = ensure_value(raw)
+            bound.append(ensure_value(raw))
+        return tuple(bound)
 
-    def _acall_module(self, name: str, values: tuple[Value, ...], scope: Scope) -> None:
+    def _acall_module(self, name: str, values: tuple[Value, ...]) -> None:
         self.outbound.submit_async(*self._module_request(name, values))
 
     # -- timers ---------------------------------------------------------------

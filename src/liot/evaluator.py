@@ -9,14 +9,17 @@ other binary operator evaluates both operands before checking their types.
 
 An engine compiles its rule conditions and statement blocks once, to one
 generated Python source, as ``dataclasses`` builds its methods. A block is
-given as calls ``(action, target, args)``: its function computes each call's
-row of ``args`` when that call's turn comes and then calls
-``action(target, row, scope)``, so what a statement does stays with the
-engine. Each node is a few statements that leave its value in a local, so no
-chain of operators nests; a field read indexes a window's deque and type
-checks are inline statements. The source holds only indices, operators and
-the names of values passed in, never a relation name, scope name, literal,
-action or target of the program.
+given as its parameters and its calls ``(action, target, args, binds)``: its
+function computes each call's row of ``args`` when that call's turn comes and
+then calls ``action(target, row)``, so what a statement does stays with the
+engine. Names are bound when the block is compiled: each parameter, and each
+name in a call's ``binds`` after that call (its action returns their values),
+is a local, and a name read where none is bound raises ``unknown name`` at
+that point of the row. Each node is a few statements that leave its value in
+a local, so no chain of operators nests; a field read indexes a window's
+deque and type checks are inline statements. The source holds only indices,
+operators and the names of values passed in, never a relation name, a name a
+block reads, a literal, an action or a target of the program.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .errors import (DivisionByZeroError, EngineRuntimeError, EvalTypeError, Sca
 from .store import Store, history_unavailable
 from .values import Value, type_name
 
-Scope = dict[str, Value]
-
 
 class _Unavailable:
     """Condition result when the window lacks the history a rule needs."""
@@ -44,15 +45,15 @@ class _Unavailable:
 
 UNAVAILABLE = _Unavailable()
 
-# A condition takes no scope, since a rule has none, and returns True, False,
+# A condition takes no names, since a rule has none, and returns True, False,
 # or UNAVAILABLE when a window lacks the history it reads, so that a freshly
 # started program does not fail before its sensors have reported. A block
-# takes its scope and runs its calls in order; an action takes its target,
-# its row's values and the scope.
+# takes its parameters' values and runs its calls in order; an action takes
+# its target and its row's values and returns the values its call binds.
 Condition = Callable[[], "bool | _Unavailable"]
-Action = Callable[[object, tuple[Value, ...], Scope], None]
-Call = tuple[Action, object, Sequence[ast.Expression]]
-Body = Callable[[Scope], None]
+Action = Callable[[object, tuple[Value, ...]], "tuple[Value, ...] | None"]
+Call = tuple[Action, object, Sequence[ast.Expression], Sequence[str]]
+Body = Callable[..., None]
 
 # What a failed check raises, by the name the generated source gives ``_fail``.
 _FAILURES: dict[str, Callable[..., EngineRuntimeError]] = {
@@ -83,7 +84,7 @@ class _Generator:
 
     Each node becomes statements that leave its value in a local, so that a
     long chain of operators nests nothing. A function names the values it
-    reads (windows, relation names, literals, scope names, actions, targets)
+    reads (windows, relation names, literals, unbound names, actions, targets)
     K0, K1, ... in order, and is written inside a factory that takes them, so
     that functions differing only in those values, as a family of generated
     rules does, share one text that is compiled once."""
@@ -92,17 +93,18 @@ class _Generator:
         self.store = store
         self.factories: dict[str, tuple[str, int]] = {}  # text -> factory name, arity
         self.made: list[tuple[str, list[object]]] = []  # per function: factory, values
-        self.params = ""  # "S" while writing blocks, which read their scope
 
     def bind(self, value: object) -> str:
         """The name of a value in the function being written."""
         self.values.append(value)
         return f"K{len(self.values) - 1}"
 
-    def start(self) -> None:
+    def start(self, bound: dict[str, str] | None) -> None:
         self.values: list[object] = []
         self.names = count()
         self.nested: list[str] = []  # functions the one being written calls
+        # in a block, the local of each name bound so far; None in a condition
+        self.bound = bound
 
     def finish(self, lines: list[str]) -> None:
         """Files the function ``f`` under the factory of its text."""
@@ -112,19 +114,25 @@ class _Generator:
 
     def condition(self, node: ast.Expression) -> None:
         """Missing history makes a condition return UNAVAILABLE."""
-        self.start()
+        self.start(None)
         lines = ["def f():", " try:"]
         v = self.emit(node, lines, "  ")
         self.check_boolean(node, v, "'condition'", lines, "  ")
         self.finish(lines + [f"  return {v}", " except IndexError:", "  return UNAVAILABLE"])
 
-    def block(self, calls: Sequence[Call]) -> None:
-        """Missing history makes a row raise, before its action is called."""
-        self.start()
-        lines = ["def f(S):", " pass"]  # a block may have no statements
-        for action, target, args in calls:
+    def block(self, params: Sequence[str], calls: Sequence[Call]) -> None:
+        """Missing history makes a row raise, before its action is called.
+        A call binds fresh locals, so a later call rebinds the same names."""
+        self.start({name: f"P{i}" for i, name in enumerate(params)})
+        lines = [f"def f({', '.join(self.bound.values())}):", " pass"]  # may have no statements
+        for action, target, args, binds in calls:
             values = "".join(self.emit(node, lines, " ") + "," for node in args)
-            lines.append(f" {self.bind(action)}({self.bind(target)}, ({values}), S)")
+            call = f"{self.bind(action)}({self.bind(target)}, ({values}))"
+            if binds:
+                names = [f"v{next(self.names)}" for _ in binds]
+                self.bound.update(zip(binds, names))
+                call = f"{', '.join(names)}, = {call}"
+            lines.append(f" {call}")
         self.finish(lines)
 
     def emit(self, node: ast.Expression, lines: list[str], pad: str) -> str:
@@ -135,21 +143,21 @@ class _Generator:
         decide."""
         if isinstance(node, ast.Literal):
             return self.bind(node.value)
+        if isinstance(node, ast.ScopeRef) and node.name in (self.bound or ()):
+            return self.bound[node.name]  # a parameter, or an output of a CALL before
         v = f"v{next(self.names)}"
         if isinstance(node, ast.FieldRef):
             fields = self.store.relations[node.relation].fields
             w, offset = self.bind(self.store.windows[node.relation]), index(node.offset)
-            if self.params:
+            if self.bound is not None:
                 lines.append(f"{pad}if len({w}) < {1 - offset}: "
                              f"_fail('history', {self.bind(node.relation)}, {w}, {offset})")
             record = f"{w}[{offset - 1}]"  # offset 0 reads the newest record
             read = (f"float({record}.t)" if node.field == "T"
                     else f"{record}.values[{fields.index(node.field)}]")
             lines.append(f"{pad}{v} = {read}")
-        elif isinstance(node, ast.ScopeRef):
-            name = self.bind(node.name)
-            found = f"S[{name}] if {name} in S else " if self.params else ""  # a rule has no scope
-            lines.append(f"{pad}{v} = {found}_fail('name', {name})")
+        elif isinstance(node, ast.ScopeRef):  # nothing binds the name here
+            lines.append(f"{pad}{v} = _fail('name', {self.bind(node.name)})")
         elif isinstance(node, ast.Unary):
             x = self.emit(node.operand, lines, pad)
             if node.op == "NOT":
@@ -167,7 +175,7 @@ class _Generator:
             if len(inner) < _MAX_INDENT:
                 b = self.emit(node.right, lines, inner)
             else:  # the right operand in a function of its own, called here
-                call, body = f"g{next(self.names)}({self.params})", []
+                call, body = f"g{next(self.names)}({', '.join((self.bound or {}).values())})", []
                 result = self.emit(node.right, body, " ")
                 self.nested += [f"def {call}:", *body, f" return {result}"]
                 b = f"v{next(self.names)}"
@@ -203,15 +211,16 @@ class _Generator:
 
 
 def compile_functions(store: Store, conditions: Sequence[ast.Expression],
-                      blocks: Sequence[Sequence[Call]]) -> tuple[list[Condition], list[Body]]:
-    """From one compiled source, a function per condition and one per block,
-    in the order given; all of them read the windows of ``store``."""
+                      blocks: Sequence[tuple[Sequence[str], Sequence[Call]]]
+                      ) -> tuple[list[Condition], list[Body]]:
+    """From one compiled source, a function per condition and one per block
+    (its parameters' names and its calls), in the order given; all of them
+    read the windows of ``store``."""
     generator = _Generator(store)
     for node in conditions:
         generator.condition(node)
-    generator.params = "S"
-    for calls in blocks:
-        generator.block(calls)
+    for params, calls in blocks:
+        generator.block(params, calls)
     source = "".join(f"def {name}({', '.join(f'K{i}' for i in range(arity))}):\n{text} return f\n"
                      for text, (name, arity) in generator.factories.items())
     namespace = {"_fail": _fail, "UNAVAILABLE": UNAVAILABLE, "isfinite": isfinite}

@@ -9,14 +9,17 @@ by precedence climbing over ``ast.PRECEDENCE``, no deeper than
 Parsing happens in two passes: a purely syntactic pass builds the tree, then a
 resolution pass checks every name against the declaration tables and rewrites
 dotted references that do not name a relation (``COUNTER.count``) into scope
-references. ``Engine`` resolves its program too, for one built as a tree.
+references. ``Engine`` resolves its program too, for one built as a tree,
+whose nodes the resolver checks for shape before it reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cache
+from itertools import chain
 from math import isfinite
-from typing import NoReturn
+from typing import NoReturn, get_args, get_origin, get_type_hints
 
 from . import ast
 from .errors import ParseError, SemanticError
@@ -361,11 +364,54 @@ class _Parser:
 # -- resolution & validation ----------------------------------------------------
 
 
+_WHAT = {str: "a str", int: "an int", ast.Expression: "an expression"}
+
+
+@cache
+def _field_shapes(cls: type) -> list[tuple[str, bool, tuple[type, ...], str]]:
+    """Each field of a node class, but its position and a literal's value
+    (``check_literal`` checks that): its name, whether it holds a tuple, the
+    types it or each of its items may have, and those types in words."""
+    hints, shapes = get_type_hints(cls), []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name == "pos" or hint is ast.Value:
+            continue
+        many = get_origin(hint) is tuple  # tuple[X, ...]
+        if many:
+            hint = get_args(hint)[0]
+        what = _WHAT.get(hint) or f"a {hint.__name__}"
+        shapes.append((f.name, many, get_args(hint) or (hint,), what))
+    return shapes
+
+
+def _shape_error(node: object) -> str | None:
+    """Which field of ``node`` holds what its class does not declare, or None.
+    The parser builds only well-shaped nodes; a tree built by hand may not be."""
+    for name, many, kinds, what in _field_shapes(type(node)):
+        value = getattr(node, name)
+        if many and type(value) is not tuple:
+            many, kinds, what = False, (tuple,), "a tuple"
+        for i, item in enumerate(value if many else (value,)):
+            if type(item) not in kinds:
+                label = type(node).__name__.removesuffix("Decl").lower()
+                where = f"{name}[{i}]" if many else name
+                return f"{label} {where} must be {what}, got {type(item).__name__}"
+    return None
+
+
+_BINARY_OPS = ast.COMPARISON_OPS + ast.ARITHMETIC_OPS + ast.BOOLEAN_OPS
+
+
 class _Resolver:
     """Checks the parsed tree against declaration tables and rewrites names."""
 
     def __init__(self, program: ast.Program):
         self.program = program
+        self.check_shape(program, ast.NO_POS)
+        for decl in chain(program.relations, program.triggers, program.endpoints,
+                          program.timers, program.rules, program.modules, program.mappings):
+            self.check_shape(decl, decl.pos)
         self.relations = {d.name: d for d in program.relations}
         self.modules = {d.name: d for d in program.modules}
         # the names each statement target may take, by what it names
@@ -374,6 +420,11 @@ class _Resolver:
 
     def fail(self, message: str, pos: ast.Pos) -> NoReturn:
         raise SemanticError(message, pos.line, pos.column)
+
+    def check_shape(self, node: object, pos: ast.Pos) -> None:
+        error = _shape_error(node)
+        if error is not None:
+            self.fail(error, pos)
 
     def run(self) -> ast.Program:
         p = self.program
@@ -420,6 +471,9 @@ class _Resolver:
                     )
             endpoints.append(replace(endpoint, body=self.resolve_block(endpoint.body)))
 
+        for timer in p.timers:  # as the parser checks the interval's token
+            if timer.interval_ms < 1:
+                self.fail("timer interval must be a positive integer of milliseconds", timer.pos)
         timers = [replace(t, body=self.resolve_block(t.body)) for t in p.timers]
 
         rules = []
@@ -428,6 +482,11 @@ class _Resolver:
             rules.append(replace(rule, condition=condition, body=self.resolve_block(rule.body)))
 
         for mapping in p.mappings:
+            if mapping.kind not in ("relation", "module"):
+                self.fail(f"mapping kind must be 'relation' or 'module', got {mapping.kind!r}",
+                          mapping.pos)
+            if not mapping.target:
+                self.fail("mapping target is empty", mapping.pos)
             table = self.relations if mapping.kind == "relation" else self.modules
             if mapping.name not in table:
                 self.fail(
@@ -448,6 +507,7 @@ class _Resolver:
 
     # expressions in statement-argument position may reach into scope
     def resolve_arg(self, expr: ast.Expression, pos: ast.Pos) -> ast.Expression:
+        self.check_shape(expr, pos)
         if isinstance(expr, ast.Literal):
             self.check_literal(expr, pos)
             return expr
@@ -466,7 +526,7 @@ class _Resolver:
         decl = self.relations[ref.relation]
         if ref.field != "T" and ref.field not in decl.fields:
             self.fail(f"relation {ref.relation} has no field {ref.field}", pos)
-        if type(ref.offset) is not int or ref.offset > 0:
+        if ref.offset > 0:
             self.fail(f"history offset of {ref.relation}.{ref.field} must be a non-positive "
                       f"integer, got {ref.offset!r}", pos)
 
@@ -477,7 +537,11 @@ class _Resolver:
             self.fail(f"literal {value!r} is not a text, a finite number, a boolean or null", pos)
 
     def resolve_condition(self, expr: ast.Expression, rule: ast.RuleDecl) -> ast.Expression:
-        for node in ast.walk_expression(expr):
+        for node in ast.walk_expression(expr):  # each node's shape before its operands
+            self.check_shape(node, rule.pos)
+            if isinstance(node, ast.Unary) and node.op not in ast.PREFIXES \
+                    or isinstance(node, ast.Binary) and node.op not in _BINARY_OPS:
+                self.fail(f"rule {rule.name}: unknown operator {node.op!r}", rule.pos)
             if isinstance(node, ast.FieldRef):
                 if node.relation not in self.relations:
                     self.fail(
@@ -500,11 +564,7 @@ class _Resolver:
         return tuple(self.resolve_statement(s) for s in block)
 
     def resolve_statement(self, stmt: ast.Statement) -> ast.Statement:
-        for part, expected in (("kind", str), ("target", str), ("args", tuple)):
-            value = getattr(stmt, part)
-            if not isinstance(value, expected):  # only a tree built by hand holds one
-                self.fail(f"statement {part} must be a {expected.__name__}, "
-                          f"got {type(value).__name__}", stmt.pos)
+        self.check_shape(stmt, stmt.pos)
         entry = ast.STATEMENTS.get(stmt.kind)
         if entry is None:
             self.fail(f"unknown statement kind {stmt.kind!r}", stmt.pos)

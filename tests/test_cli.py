@@ -219,7 +219,9 @@ class SinkHandler(BaseHTTPRequestHandler):
 @contextmanager
 def serving(handler):
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits up to one poll interval
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"

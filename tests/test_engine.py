@@ -483,6 +483,70 @@ ENDPOINT E ()
     assert params == [("p1", "1"), ("p2", "x")]
 
 
+class Replies(FakeOutbound):
+    """A module that answers each GET with the next of ``bodies``."""
+
+    def __init__(self, *bodies):
+        super().__init__()
+        self.bodies = iter(bodies)
+
+    def get(self, url, params, timeout_ms):
+        self.sync_calls.append((url, params))
+        return 200, next(self.bodies)
+
+
+MODULE_M = """
+RELATION R (X)
+RELATION OUT (N)
+MODULE M (o)
+MAP MODULE M : http://mod.example/m
+"""
+
+
+def test_a_name_read_before_the_call_that_binds_it_aborts_there():
+    engine = make_engine(MODULE_M + "ENDPOINT E () { OUT(1) OUT(M.o) CALL M () OUT(2) }",
+                         outbound=Replies(b'{"o": 7}'))
+    result = engine.process_event(EndpointCall("E", ()))
+    assert result.error == "UnknownNameError: unknown name M.o"
+    assert [r.values for r in engine.store.read("OUT", 10)] == [(1.0,)]
+    assert engine.outbound.sync_calls == []
+
+
+def test_a_second_call_rebinds_its_outputs():
+    engine = make_engine(
+        MODULE_M + "ENDPOINT E (x) { CALL M (x) OUT(M.o) CALL M (M.o) OUT(M.o) OUT(x) }",
+        outbound=Replies(b'{"o": 7}', b'{"o": 8}'))
+    assert engine.process_event(EndpointCall("E", (5.0,))).error is None
+    assert [r.values for r in reversed(engine.store.read("OUT", 10))] == [(7.0,), (8.0,), (5.0,)]
+    assert [params for _, params in engine.outbound.sync_calls] == [[("p1", "5")], [("p1", "7")]]
+
+
+@pytest.mark.parametrize("blocks, name, fired", [
+    ("TRIGGER (R) { OUT(x) } ENDPOINT E (x) { R(x) }", "x", ("trigger", "R")),
+    ("TRIGGER (R) { OUT(M.o) } ENDPOINT E (x) { CALL M () R(x) }", "M.o", ("trigger", "R")),
+    ("RULE A 1 > 0 { OUT(x) } ENDPOINT E (x) { CHECK(A) }", "x", ("rule", "A")),
+    ("RULE A 1 > 0 { OUT(M.o) } ENDPOINT E (x) { CALL M () CHECK(A) }", "M.o", ("rule", "A")),
+], ids=["trigger reads a parameter", "trigger reads an output", "checked rule reads a parameter",
+        "checked rule reads an output"])
+def test_names_never_cross_into_the_blocks_an_endpoint_runs(blocks, name, fired):
+    engine = make_engine(MODULE_M + blocks, outbound=Replies(b'{"o": 7}'))
+    result, firings = process(engine, EndpointCall("E", (5.0,)))
+    assert result.error == f"UnknownNameError: unknown name {name}"
+    assert [(f.kind, f.name) for f in firings] == [fired]
+    assert engine.store.size("OUT") == 0
+
+
+def test_a_body_takes_its_parameters_and_nothing_else():
+    engine = make_engine(COMPOSITE + "ENDPOINT NONE () {}\nENDPOINT THREE (a, b, c) {}")
+    assert {name: body.__code__.co_argcount
+            for name, (_, body) in engine._endpoints_by_name.items()} == {
+        "NEW_RECORD": 2, "NONE": 0, "THREE": 3}
+    bodies = [engine._top_level, *[rs.body for rs in engine.rule_states],
+              *[ts.body for ts in engine.timer_states.values()],
+              *[trigger for *_, trigger in engine._on_insert.values() if trigger]]
+    assert len(bodies) == 4 and {body.__code__.co_argcount for body in bodies} == {0}
+
+
 def test_call_module_with_no_outputs_accepts_any_body():
     src = """
 MODULE PING ()
@@ -700,8 +764,10 @@ def test_engine_refuses_a_tree_built_program_the_resolver_refuses(program, messa
      "statement target must be a str, got list"),
     (ast.Statement("INSERT", "R", [ast.Literal(1.0), ast.Literal(2.0)], pos=ast.Pos(3, 5)),
      "statement args must be a tuple, got list"),
+    (ast.Statement("INSERT", "R", (1.0, ast.Literal(2.0)), pos=ast.Pos(3, 5)),
+     "statement args[0] must be an expression, got float"),
 ], ids=["unknown kind", "row on START", "row on CHECK", "list kind", "list target",
-        "list args"])
+        "list args", "bare value in a row"])
 def test_engine_refuses_a_statement_only_a_tree_can_build(statement, message):
     program = ast.Program(relations=(R_XY,), timers=(ast.TimerDecl("TM", 10, ()),),
                           rules=(ast.RuleDecl("A", above(ast.FieldRef("R", "X")), ()),),
@@ -709,6 +775,52 @@ def test_engine_refuses_a_statement_only_a_tree_can_build(statement, message):
     with pytest.raises(SemanticError) as err:
         Engine(program, config=EngineConfig(), clock=VirtualClock(0))
     assert (err.value.line, err.value.column, err.value.message) == (3, 5, message)
+
+
+AT = ast.Pos(3, 5)
+INJECTED = "< 0 or print('INJECTED op ran') or"
+
+
+def decl_program(**decls):
+    """A program with relation R and one malformed declaration at 3:5."""
+    return ast.Program(**{"relations": (R_XY,), **decls})
+
+
+@pytest.mark.parametrize("program, message", [
+    (decl_program(rules=(ast.RuleDecl("A", ast.Binary(INJECTED, ast.FieldRef("R", "X"),
+                                                       ast.Literal(1.0)), (), pos=AT),)),
+     f"rule A: unknown operator {INJECTED!r}"),
+    (decl_program(rules=(ast.RuleDecl("A", above(ast.Unary("~", ast.FieldRef("R", "X"))), (),
+                                      pos=AT),)),
+     "rule A: unknown operator '~'"),
+    (decl_program(timers=(ast.TimerDecl("TM", 0, (), pos=AT),)),
+     "timer interval must be a positive integer of milliseconds"),
+    (decl_program(timers=(ast.TimerDecl("TM", -5, (), pos=AT),)),
+     "timer interval must be a positive integer of milliseconds"),
+    (decl_program(timers=(ast.TimerDecl("TM", 2.5, (), pos=AT),)),
+     "timer interval_ms must be an int, got float"),
+    (decl_program(mappings=(ast.MapDecl("bogus", "R", "http://r.example/", pos=AT),)),
+     "mapping kind must be 'relation' or 'module', got 'bogus'"),
+    (decl_program(mappings=(ast.MapDecl("relation", "R", "", pos=AT),)),
+     "mapping target is empty"),
+    (ast.Program(relations=(ast.RelationDecl(["R"], ("X",), pos=AT),)),
+     "relation name must be a str, got list"),
+    (decl_program(rules=(ast.RuleDecl("A", above(ast.FieldRef(["R"], "X")), (), pos=AT),)),
+     "fieldref relation must be a str, got list"),
+    (ast.Program(relations=(ast.RelationDecl("R", ["X"], pos=AT),)),
+     "relation fields must be a tuple, got list"),
+    (decl_program(endpoints=(ast.EndpointDecl("E", ["x"], (), pos=AT),)),
+     "endpoint params must be a tuple, got list"),
+    (decl_program(rules=(ast.RuleDecl("A", above(ast.FieldRef("R", "X")), [], pos=AT),)),
+     "rule body must be a tuple, got list"),
+], ids=["injected binary op", "unknown unary op", "zero interval", "negative interval",
+        "fractional interval", "unknown map kind", "empty map target", "list relation name",
+        "list field reference relation", "list fields", "list params", "list body"])
+def test_engine_refuses_a_declaration_only_a_tree_can_build(program, message, capsys):
+    with pytest.raises(SemanticError) as err:
+        Engine(program, config=EngineConfig(), clock=VirtualClock(0))
+    assert (err.value.line, err.value.column, err.value.message) == (3, 5, message)
+    assert "INJECTED" not in capsys.readouterr().out
 
 
 def test_engine_runs_a_tree_built_program_as_the_resolver_rewrites_it():

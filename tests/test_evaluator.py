@@ -27,28 +27,30 @@ def store_with(*rssi_values, window=1024):
     return store
 
 
-def compile_rows(store, conditions, rows):
+def compile_rows(store, conditions, rows, params=()):
     """Conditions and rows compiled as an engine compiles them: each row is
-    the one call of a block, whose action hands the row's values back."""
+    the one call of a block with parameters ``params``, whose action hands
+    the row's values back; a row is called with the parameters' values."""
     handed = []
 
-    def hand_back(target, values, scope):
+    def hand_back(target, values):
         handed.append(values)
 
     def row(body):
-        def values(scope):
-            body(scope)
+        def values(*args):
+            body(*args)
             return handed.pop()
         return values
 
-    blocks = [[(hand_back, None, row_nodes)] for row_nodes in rows]
+    blocks = [(params, [(hand_back, None, row_nodes, ())]) for row_nodes in rows]
     conditions, bodies = compile_functions(store, conditions, blocks)
     return conditions, [row(body) for body in bodies]
 
 
 def evaluate(expr, store, scope):
-    """An expression evaluated as the one value of a statement's row."""
-    return compile_rows(store, [], [(expr,)])[1][0](scope)[0]
+    """An expression evaluated as the one value of a statement's row, in a
+    block whose parameters are the names of ``scope``."""
+    return compile_rows(store, [], [(expr,)], tuple(scope))[1][0](*scope.values())[0]
 
 
 def condition(expr, store):
@@ -333,11 +335,11 @@ def test_conditions_and_rows_compiled_as_one_program_match_the_reference():
     conditions = [random_expr(rng, rng.randint(1, 4)) for _ in range(3000)]
     rows = [tuple(random_expr(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3)))
             for _ in range(3000)]
-    compiled_conditions, compiled_rows = compile_rows(store, conditions, rows)
+    compiled_conditions, compiled_rows = compile_rows(store, conditions, rows, tuple(scope))
     got_conditions = [outcome(lambda: eval_condition(c)) for c in compiled_conditions]
     for i, (expr, got) in enumerate(zip(conditions, got_conditions)):
         assert got == ref_condition(expr, store), f"condition {i}: {expr}"
-    got_rows = [outcome(lambda: compiled_rows[i](scope)) for i in range(len(rows))]
+    got_rows = [outcome(lambda: compiled_rows[i](*scope.values())) for i in range(len(rows))]
     for i, (row, got) in enumerate(zip(rows, got_rows)):
         assert got == ref_row(row, store, scope), f"row {i}: {row}"
     # both ways of meeting missing history, and an overflow, were drawn
@@ -350,25 +352,35 @@ def test_long_and_deep_expressions_compile_and_match_the_reference():
     """Chains of any length compile, as the parser builds them in a loop: a
     mean of 150 field reads, OR and AND chains of 300 comparisons, and an
     AND/OR alternation nested 120 deep on the right, past the 100 levels of
-    indentation CPython accepts. Each runs as a condition and as a row."""
+    indentation CPython accepts. Each runs as a condition and as a row of a
+    block with parameters, and a last row reads a parameter at the bottom of
+    the alternation, in the functions its deep levels become."""
     terms = " + ".join(("R.RSSI", "R.RSSI[-1]")[k % 2] for k in range(150))
-    nested = Binary(">", FieldRef("R", "RSSI"), Literal(0.0))
-    for k in range(120):  # no left operand decides, so every level runs
-        op, bound = ("AND", -1000.0) if k % 2 else ("OR", 1000.0)
-        nested = Binary(op, Binary(">", FieldRef("R", "RSSI"), Literal(bound)), nested)
+
+    def alternation(innermost):
+        nested = innermost
+        for k in range(120):  # no left operand decides, so every level runs
+            op, bound = ("AND", -1000.0) if k % 2 else ("OR", 1000.0)
+            nested = Binary(op, Binary(">", FieldRef("R", "RSSI"), Literal(bound)), nested)
+        return nested
+
+    nested = alternation(Binary(">", FieldRef("R", "RSSI"), Literal(0.0)))
     exprs = [parse_expression(f"({terms}) / 150 < -60"),
              parse_expression(" OR ".join(f"R.RSSI > {k}" for k in range(299)) + " OR R.RSSI < 0"),
              parse_expression(" AND ".join(f"R.RSSI < {k}" for k in range(299))
                               + " AND R.RSSI[-2] < 0"),
              nested]
-    store, scope = random_store(), {}
-    conditions, rows = compile_rows(store, exprs, [(e,) for e in exprs])
+    reads_x = alternation(Binary("==", ScopeRef("x"), Literal(2.0)))
+    store, scope = random_store(), {"x": 2.0, "y": "text"}
+    conditions, rows = compile_rows(store, exprs, [(e,) for e in exprs + [reads_x]],
+                                    tuple(scope))
     got = [outcome(lambda: eval_condition(c)) for c in conditions]
     assert got == [ref_condition(e, store) for e in exprs]
     assert got == [("ok", "True"), ("ok", "True"), ("ok", "UNAVAILABLE"), ("ok", "False")]
-    got = [outcome(lambda: row(scope)) for row in rows]
-    assert got == [ref_row((e,), store, scope) for e in exprs]
+    got = [outcome(lambda: row(*scope.values())) for row in rows]
+    assert got == [ref_row((e,), store, scope) for e in exprs + [reads_x]]
     assert got[2] == ("err", "history: R holds 2 records, offset -2 reaches past the window")
+    assert got[4] == ("ok", "(True,)")
 
 
 def test_functions_that_differ_only_in_values_share_one_text():
@@ -379,13 +391,13 @@ def test_functions_that_differ_only_in_values_share_one_text():
     handed = []
     conditions, bodies = compile_functions(
         store, [parse_expression("R.RSSI < -60"), parse_expression('Q.S < "b"')],
-        [[(lambda target, values, scope: handed.append(("first", target, values)), "A",
-           (Literal("a"), FieldRef("R", "RSSI")))],
-         [(lambda target, values, scope: handed.append(("second", target, values)), "B",
-           (Literal("b"), FieldRef("Q", "S")))]])
+        [((), [(lambda target, values: handed.append(("first", target, values)), "A",
+                 (Literal("a"), FieldRef("R", "RSSI")), ())]),
+         ((), [(lambda target, values: handed.append(("second", target, values)), "B",
+                 (Literal("b"), FieldRef("Q", "S")), ())])])
     assert [eval_condition(c) for c in conditions] == [False, True]
     for body in bodies:
-        body({})
+        body()
     assert handed == [("first", "A", ("a", -50.0)), ("second", "B", ("b", ""))]
     assert conditions[0].__code__ is conditions[1].__code__
     assert bodies[0].__code__ is bodies[1].__code__
@@ -405,32 +417,33 @@ def test_evaluation_is_deterministic():
     "\x00 ", "'); __import__('os').system('exit 3'); ('", '" + __import__("sys").exit(3) + "',
 ])
 def test_program_text_comes_back_as_data(text):
-    """Literals, scope names, relation and field names, and the timer, rule
-    and module names a statement targets never become code."""
+    """Literals, parameter and unbound names, relation and field names, and
+    the timer, rule and module names a statement targets never become code."""
     odd = ast.RelationDecl(f"R{text}", (f"F{text}",))
     store = Store([odd], window_default=2)
     store.insert(odd.name, (text,), t=5)
     literal, name, field = Literal(text), ScopeRef(text), FieldRef(odd.name, f"F{text}")
     handed = []
 
-    def hand_back(target, values, scope):
+    def hand_back(target, values):
         handed.append((target, values))
 
     conditions, bodies = compile_functions(
         store,
         [Binary("==", field, literal), Binary("<", literal, field), Binary("==", literal, name)],
-        [[(hand_back, f"timer{text}", ()), (hand_back, f"rule{text}", ()),
-          (hand_back, f"module{text}", (literal, name, field, FieldRef(odd.name, "T")))],
-         [(hand_back, odd.name, (FieldRef(odd.name, f"F{text}", -1),))]])
+        [((text,), [(hand_back, f"timer{text}", (), ()), (hand_back, f"rule{text}", (), ()),
+                    (hand_back, f"module{text}",
+                     (literal, name, field, FieldRef(odd.name, "T")), ())]),
+         ((), [(hand_back, odd.name, (FieldRef(odd.name, f"F{text}", -1),), ())])])
     assert eval_condition(conditions[0]) is True
     assert eval_condition(conditions[1]) is False
     with pytest.raises(UnknownNameError) as unknown:
         eval_condition(conditions[2])
     assert str(unknown.value) == f"unknown name {text}"
-    bodies[0]({text: 1.0})
+    bodies[0](1.0)
     assert handed == [(f"timer{text}", ()), (f"rule{text}", ()),
                       (f"module{text}", (text, 1.0, text, 5.0))]
     with pytest.raises(HistoryUnavailableError) as missing:
-        bodies[1]({})
+        bodies[1]()
     assert str(missing.value) == f"R{text} holds 1 records, offset -1 reaches past the window"
     assert len(handed) == 3  # a row that fails calls no action
