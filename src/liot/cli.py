@@ -5,8 +5,9 @@ A flag of ``run`` or ``script`` is the config key of the same name.
 
 ``simulate`` turns each ``--gen`` into a field and its ``draw(rng)`` closure.
 ``script`` decodes its JSON Lines with ``values.load_json_line``, the decoder
-log replay uses too, and prints the engine's whole firing log once the run
-ends.
+log replay uses too, and streams the engine's firing log to stdout as the run
+goes: a ``FiringStream`` writes each full chunk of firings, and the last,
+partial chunk goes out through ``export_firing_log`` once the run ends.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .clock import VirtualClock
 from .config import DEFAULT_CALL_TIMEOUT_MS, RunConfig, apply_config_pairs, read_config_file
-from .engine import Engine, ExternalInsert, export_firing_log
+from .engine import Engine, ExternalInsert, FiringStream, export_firing_log
 from .errors import ConfigError, LiotError, SourceError
 from .gateway import AsyncDelivery, GatewayServer, OutboundClient
 from .parser import parse_program
@@ -271,7 +272,8 @@ def load_script(path: str | Path) -> list[ScriptAction]:
                     or type(spec.get("v")) is not list):
                 raise ConfigError(f"{path}:{line_number}: insert needs a string \"rel\" "
                                   "and an array \"v\" of values")
-            actions.append(_action((at, (spec["rel"], tuple(spec["v"])), None)))
+            # one string per relation name, not one decoded copy per insert
+            actions.append(_action((at, (sys.intern(spec["rel"]), tuple(spec["v"])), None)))
         elif "advance" in entry:
             delta = entry["advance"]
             if type(delta) is not int or delta < 0:
@@ -284,12 +286,16 @@ def load_script(path: str | Path) -> list[ScriptAction]:
 
 
 def run_script(program, actions: list[ScriptAction], config: RunConfig,
-               loaded: Callable[[], None] = lambda: None) -> Engine:
+               loaded: Callable[[], None] = lambda: None,
+               firing_log: FiringStream | None = None) -> Engine:
     """Deterministic run under the virtual clock; returns the finished engine
     once every queued ACALL and webhook has been sent. ``loaded`` is called
-    once the engine has loaded, before the first action."""
+    once the engine has loaded, before the first action. ``firing_log``, if
+    given, takes the firings in place of the engine's list."""
     outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
     engine = Engine(program, config=config, clock=VirtualClock(0), outbound=outbound)
+    if firing_log is not None:
+        engine.firing_log = firing_log
     try:
         engine.load()
         loaded()
@@ -317,12 +323,15 @@ def cmd_script(args: argparse.Namespace, loaded: Callable[[], None]) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # A config or a log that fails to load does so before the first firing,
+    # so nothing reaches stdout.
+    firings = FiringStream(sys.stdout.write)
     try:
-        engine = run_script(program, actions, config, loaded)
-    except LiotError as exc:
+        run_script(program, actions, config, loaded, firings)
+    except (LiotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(export_firing_log(engine.firing_log))
+    sys.stdout.write(export_firing_log(firings.pending))
     return 0
 
 

@@ -31,6 +31,9 @@ timers due now. Under the wall clock the runtime's loop only asks
 
 Each firing is appended to ``firing_log`` as it happens, an aborted event's
 too; ``process_event`` returns only the error, if any, that aborted the event.
+That log is a list unless its owner puts something else in its place before
+``load``: ``EngineRuntime`` a ring of the recent firings, and ``liot script``
+a ``FiringStream``, which writes the firings out a chunk at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, NamedTuple, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 from urllib.parse import urljoin, urlsplit
 
 from . import ast
@@ -113,6 +116,36 @@ _firing = partial(tuple.__new__, Firing)
 def export_firing_log(firings: Iterable[Firing]) -> str:
     line = _FIRING_JSON + "\n"
     return "".join([line % f for f in firings])
+
+
+# Firings a FiringStream holds before it writes them out. One write per chunk,
+# not per line: with PYTHONUNBUFFERED set, every write is a system call.
+FIRING_CHUNK = 1024
+
+
+class FiringStream:
+    """A firing log that keeps at most one chunk: when it holds
+    ``FIRING_CHUNK`` firings, it hands them to ``write`` as the text
+    ``export_firing_log`` makes of them, in one call. ``pending`` holds the
+    firings not written yet; ``len`` counts every firing appended."""
+
+    __slots__ = ("pending", "written", "_write")
+
+    def __init__(self, write: Callable[[str], object]):
+        self.pending: list[Firing] = []
+        self.written = 0
+        self._write = write
+
+    def append(self, firing: Firing) -> None:
+        pending = self.pending
+        pending.append(firing)
+        if len(pending) == FIRING_CHUNK:
+            self._write(export_firing_log(pending))
+            self.written += FIRING_CHUNK
+            pending.clear()
+
+    def __len__(self) -> int:
+        return self.written + len(self.pending)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,8 +299,9 @@ class Engine:
         self._module_maps = {m.name: m for m in program.mappings if m.kind == "module"}
 
         # Full history by default; EngineRuntime, which serves indefinitely,
-        # swaps in bounded deques that keep only the recent entries.
-        self.firing_log: list[Firing] | deque[Firing] = []
+        # swaps in bounded deques that keep only the recent entries, and
+        # liot script a FiringStream.
+        self.firing_log: list[Firing] | deque[Firing] | FiringStream = []
         self.event_errors: list[str] | deque[str] = []
         self._cascade_depth = 0  # the running event's nesting of inserts and CHECKs
         self.condition_evaluations = 0

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.parse
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -28,7 +29,7 @@ from liot.cli import (
 )
 from liot.clock import VirtualClock
 from liot.config import EngineConfig, RunConfig, apply_config_pairs, read_config_file
-from liot.engine import Engine, ExternalInsert
+from liot.engine import FIRING_CHUNK, Engine, ExternalInsert, export_firing_log
 from liot.errors import ConfigError
 from liot.gateway import GatewayServer
 from liot.parser import parse_program
@@ -582,6 +583,107 @@ def test_script_insert_of_a_huge_integer_aborts_only_that_event(tmp_path, capsys
     assert capsys.readouterr().out == '{"seq":1,"kind":"trigger","name":"R","t":2}\n'
     assert any("ScalarError: int too large to convert to float" in r.getMessage()
                for r in caplog.records)
+
+
+@pytest.mark.parametrize("log_text", ["not json\n", None], ids=["malformed", "cannot be opened"])
+def test_script_on_a_log_that_fails_to_load_prints_one_error_and_no_firing(
+        tmp_path, capsys, log_text):
+    # the top level would fire R's trigger, but the log fails before it runs
+    program = write(tmp_path, "t.liot", "RELATION R (X)\nTRIGGER (R) { }\nR(1)")
+    script = write(tmp_path, "s.jsonl", script_lines({"at": 1, "insert": {"rel": "R", "v": [7]}}))
+    if log_text is None:
+        log = str(tmp_path / "missing" / "run.jsonl")
+        error = f"[Errno 2] No such file or directory: {log!r}"
+    else:
+        log = write(tmp_path, "run.jsonl", log_text)
+        error = "log line 1: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+    assert main(["script", program, script, "--log", log]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert log_text is None or (tmp_path / "run.jsonl").read_text(encoding="utf-8") == log_text
+
+
+# -- script streams its firing log ----------------------------------------------
+
+# One timer tick fires R's trigger and HIGH; the top level fires them once
+# more, and each insert into C fires C's trigger until the cascade limit
+# aborts the event, 65 firings in all.
+STREAM_PROGRAM = """
+RELATION R (X)
+RELATION C (X)
+TRIGGER (R) { }
+TRIGGER (C) { C(C.X) }
+RULE HIGH R.X > 0 { }
+TIMER TM (1) { R(1) }
+R(1)
+"""
+
+
+def stream_script(tmp_path, ticks):
+    """A script of ``ticks`` timer ticks with an insert into C near the first chunk's end."""
+    first = FIRING_CHUNK // 2 - 10
+    return write(tmp_path, "s.jsonl", script_lines(
+        {"at": 0, "advance": first},
+        {"at": first, "insert": {"rel": "C", "v": [1]}},
+        {"at": first, "advance": ticks - first}))
+
+
+class CountingStdout:
+    """A stdout that keeps only how many writes and lines it was given."""
+
+    def __init__(self):
+        self.writes = self.lines = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_script_streams_the_same_log_that_run_script_keeps(tmp_path, capsys):
+    program = write(tmp_path, "t.liot", STREAM_PROGRAM)
+    script = stream_script(tmp_path, (3 * FIRING_CHUNK + FIRING_CHUNK // 4) // 2)
+    assert main(["script", program, script]) == 0
+    out = capsys.readouterr().out
+    engine = run_script(parse_program(STREAM_PROGRAM), load_script(script), RunConfig())
+    assert out == export_firing_log(engine.firing_log)
+    assert len(engine.firing_log) // FIRING_CHUNK == 3 and len(engine.firing_log) % FIRING_CHUNK
+    assert engine.firing_log[:2] == [(1, "trigger", "R", 0), (1, "rule", "HIGH", 0)]  # top level
+    [error] = engine.event_errors
+    assert "CascadeLimitError" in error and out.count('"name":"C"') == 65
+
+
+def test_script_writes_a_chunk_of_firings_at_a_time(tmp_path, monkeypatch):
+    program = write(tmp_path, "t.liot", STREAM_PROGRAM)
+    script = stream_script(tmp_path, 3 * FIRING_CHUNK)
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["script", program, script]) == 0
+    assert stdout.lines > 6 * FIRING_CHUNK
+    assert stdout.writes <= -(-stdout.lines // FIRING_CHUNK) + 1  # not one per line
+
+
+def test_script_memory_does_not_grow_with_its_firings(tmp_path, monkeypatch):
+    program = write(tmp_path, "t.liot", STREAM_PROGRAM)
+    monkeypatch.setattr(sys, "stdout", CountingStdout())
+
+    def traced_peak(ticks):
+        """How far the traced heap rose during the call, and the lines it printed."""
+        script = stream_script(tmp_path, ticks)
+        lines = sys.stdout.lines
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["script", program, script]) == 0
+        return tracemalloc.get_traced_memory()[1] - start, sys.stdout.lines - lines
+
+    tracemalloc.start()
+    try:
+        traced_peak(2 * FIRING_CHUNK)  # what a first call allocates once
+        small, small_lines = traced_peak(2 * FIRING_CHUNK)
+        large, large_lines = traced_peak(20 * FIRING_CHUNK)
+    finally:
+        tracemalloc.stop()
+    assert large_lines > 9 * small_lines
+    assert large - small < 64 * 1024
 
 
 # -- the collector policy of run and script -----------------------------------
