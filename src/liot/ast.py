@@ -12,16 +12,103 @@ formatter and the engine all dispatch on ``kind`` through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
-
 from .values import Value
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Pos:
-    line: int
-    column: int
+
+class _Text(str):
+    """Text of a repr already made, as ``Node.__repr__`` stacks it."""
+
+
+class _Fields(type):
+    """Gives a Node class that lists its FIELDS their names as ``__slots__``."""
+
+    def __new__(mcs, name, bases, namespace):
+        if "FIELDS" in namespace:
+            namespace["__slots__"] = tuple(field[0] for field in namespace["FIELDS"])
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class Node(metaclass=_Fields):
+    """The base of the tree's classes and of the other frozen records (the
+    lexer's tokens, the engine's events). ``FIELDS`` lists a class's fields in
+    order, each ``(name, type)`` or ``(name, type, default)``. They become its
+    ``__slots__``, and the resolver's shape check reads their types: a class,
+    ``"Expression"`` for any expression node, or ``(T, ...)`` for a tuple of T.
+
+    A node is built from its fields by position or by name, equals a node of
+    its class whose fields but ``pos`` are equal, and refuses assignment.
+    ``==`` and ``repr`` follow a chain of nodes in a loop, not by recursion,
+    so a tree MAX_DEPTH deep takes them no deeper into the interpreter's stack.
+    """
+
+    FIELDS: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._fill(args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _fill(self, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value: ``args`` by position, then each later field
+        from ``kwargs`` or its default."""
+        if len(args) > len(self.FIELDS) or kwargs.keys() - self.__slots__[len(args):]:
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, _, *default in self.FIELDS[len(args):]:
+            if name not in kwargs and not default:
+                raise TypeError(f"{type(self).__name__} needs a value for {name}")
+            args += (kwargs.get(name, *default),)
+        return args
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _compared(self) -> list:
+        return [getattr(self, field[0]) for field in self.FIELDS if field[0] != "pos"]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if isinstance(a, Node):
+                if type(b) is not type(a):
+                    return False
+                pairs += zip(a._compared(), b._compared())
+            elif not (a is b or a == b):  # a tuple compares its nodes with ==
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple(self._compared()))
+
+    def __repr__(self):
+        parts, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is _Text:
+                parts.append(item)
+            elif type(item).__repr__ is Node.__repr__:
+                todo.append(_Text(")"))
+                for i in reversed(range(len(item.FIELDS))):
+                    name = item.FIELDS[i][0]
+                    todo += [getattr(item, name), _Text(f"{', ' if i else ''}{name}=")]
+                todo.append(_Text(f"{type(item).__qualname__}("))
+            else:  # a tuple writes each of its nodes with repr
+                parts.append(repr(item))
+        return "".join(parts)
+
+    def replace(self, **changes) -> Node:
+        """A copy with ``changes``, by field name, in place of some fields."""
+        return type(self)(*[changes.get(f[0], getattr(self, f[0])) for f in self.FIELDS])
+
+
+class Pos(Node):
+    FIELDS = (("line", int), ("column", int))
 
     def __repr__(self) -> str:  # keeps assertion diffs short
         return f"{self.line}:{self.column}"
@@ -33,22 +120,17 @@ NO_POS = Pos(0, 0)
 # --- expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: Value
+class Literal(Node):
+    FIELDS = (("value", Value),)
 
 
-@dataclass(frozen=True)
-class FieldRef:
+class FieldRef(Node):
     """``R.F`` (offset 0) or ``R.F[-k]`` (offset -k); field may be T."""
 
-    relation: str
-    field: str
-    offset: int = 0
+    FIELDS = (("relation", str), ("field", str), ("offset", int, 0))
 
 
-@dataclass(frozen=True)
-class ScopeRef:
+class ScopeRef(Node):
     """A name a statement's row reads from its block, bound when the block
     is compiled.
 
@@ -56,23 +138,19 @@ class ScopeRef:
     ``COUNTER.count`` bound by a preceding module call.
     """
 
-    name: str
+    FIELDS = (("name", str),)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "-" | "NOT"
-    operand: Expression
+class Unary(Node):
+    FIELDS = (("op", str), ("operand", "Expression"))  # op: "-" | "NOT"
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # + - * / < <= > >= == != AND OR
-    left: Expression
-    right: Expression
+class Binary(Node):
+    # op: + - * / < <= > >= == != AND OR
+    FIELDS = (("op", str), ("left", "Expression"), ("right", "Expression"))
 
 
-Expression = Union[Literal, FieldRef, ScopeRef, Unary, Binary]
+Expression = Literal | FieldRef | ScopeRef | Unary | Binary
 
 COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
 ARITHMETIC_OPS = ("+", "-", "*", "/")
@@ -117,14 +195,11 @@ STATEMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Node):
     """``kind`` (a key of STATEMENTS) acting on ``target``, with ``args`` as its row."""
 
-    kind: str
-    target: str
-    args: tuple[Expression, ...] = ()
-    pos: Pos = field(default=NO_POS, compare=False)
+    FIELDS = (("kind", str), ("target", str), ("args", ("Expression", ...), ()),
+              ("pos", Pos, NO_POS))
 
 
 Block = tuple[Statement, ...]
@@ -133,69 +208,43 @@ Block = tuple[Statement, ...]
 # --- declarations ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationDecl:
-    name: str
-    fields: tuple[str, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+class RelationDecl(Node):
+    FIELDS = (("name", str), ("fields", (str, ...)), ("pos", Pos, NO_POS))
 
 
-@dataclass(frozen=True)
-class TriggerDecl:
-    relation: str
-    body: Block
-    pos: Pos = field(default=NO_POS, compare=False)
+class TriggerDecl(Node):
+    FIELDS = (("relation", str), ("body", (Statement, ...)), ("pos", Pos, NO_POS))
 
 
-@dataclass(frozen=True)
-class EndpointDecl:
-    name: str
-    params: tuple[str, ...]
-    body: Block
-    pos: Pos = field(default=NO_POS, compare=False)
+class EndpointDecl(Node):
+    FIELDS = (("name", str), ("params", (str, ...)), ("body", (Statement, ...)),
+              ("pos", Pos, NO_POS))
 
 
-@dataclass(frozen=True)
-class TimerDecl:
-    name: str
-    interval_ms: int
-    body: Block
-    pos: Pos = field(default=NO_POS, compare=False)
+class TimerDecl(Node):
+    FIELDS = (("name", str), ("interval_ms", int), ("body", (Statement, ...)),
+              ("pos", Pos, NO_POS))
 
 
-@dataclass(frozen=True)
-class RuleDecl:
-    name: str
-    condition: Expression
-    body: Block
-    pos: Pos = field(default=NO_POS, compare=False)
+class RuleDecl(Node):
+    FIELDS = (("name", str), ("condition", "Expression"), ("body", (Statement, ...)),
+              ("pos", Pos, NO_POS))
 
 
-@dataclass(frozen=True)
-class ModuleDecl:
-    name: str
-    outputs: tuple[str, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+class ModuleDecl(Node):
+    FIELDS = (("name", str), ("outputs", (str, ...)), ("pos", Pos, NO_POS))
 
 
-@dataclass(frozen=True)
-class MapDecl:
-    kind: str  # "relation" | "module"
-    name: str
-    target: str
-    pos: Pos = field(default=NO_POS, compare=False)
+class MapDecl(Node):
+    # kind: "relation" | "module"
+    FIELDS = (("kind", str), ("name", str), ("target", str), ("pos", Pos, NO_POS))
 
 
-@dataclass(frozen=True)
-class Program:
-    relations: tuple[RelationDecl, ...] = ()
-    triggers: tuple[TriggerDecl, ...] = ()
-    endpoints: tuple[EndpointDecl, ...] = ()
-    timers: tuple[TimerDecl, ...] = ()
-    rules: tuple[RuleDecl, ...] = ()
-    modules: tuple[ModuleDecl, ...] = ()
-    mappings: tuple[MapDecl, ...] = ()
-    top_level_statements: tuple[Statement, ...] = ()
+class Program(Node):
+    FIELDS = (("relations", (RelationDecl, ...), ()), ("triggers", (TriggerDecl, ...), ()),
+              ("endpoints", (EndpointDecl, ...), ()), ("timers", (TimerDecl, ...), ()),
+              ("rules", (RuleDecl, ...), ()), ("modules", (ModuleDecl, ...), ()),
+              ("mappings", (MapDecl, ...), ()), ("top_level_statements", (Statement, ...), ()))
 
 
 def walk_expression(expr: Expression):

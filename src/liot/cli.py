@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import random
-import select
 import sys
 import time
 import urllib.parse
@@ -28,9 +26,7 @@ from .clock import VirtualClock
 from .config import DEFAULT_CALL_TIMEOUT_MS, RunConfig, apply_config_pairs, read_config_file
 from .engine import Engine, ExternalInsert, FiringStream, export_firing_log
 from .errors import ConfigError, LiotError, SourceError
-from .gateway import AsyncDelivery, GatewayServer, OutboundClient
 from .parser import parse_program
-from .runtime import EngineRuntime
 from .values import Value, load_json_line, parse_query_value, value_to_param
 
 
@@ -73,6 +69,9 @@ def serving(program, config: RunConfig):
     the loop (after replaying any log) and the server. Whatever was built
     stops in reverse order, however the block or the start-up ends.
     """
+    from .gateway import AsyncDelivery, GatewayServer, OutboundClient  # only a server needs them
+    from .runtime import EngineRuntime
+
     with ExitStack() as stack:
         outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
         stack.callback(outbound.close)
@@ -169,6 +168,8 @@ def generate_requests(gens: list[tuple[str, Callable[[random.Random], Value]]], 
     One RNG seeded once; each request draws its fields in --gen order, so the
     value stream is reproducible from the seed alone.
     """
+    import random  # only simulate draws values
+
     rng = random.Random(seed)
     return [[(field, value_to_param(draw(rng))) for field, draw in gens] for _ in range(count)]
 
@@ -183,7 +184,8 @@ def run_simulation(url: str, requests: list[list[tuple[str, str]]],
     as an error and is never sent again, since the server may already have
     applied it.
     """
-    from http.client import HTTPConnection, HTTPException, HTTPSConnection  # only simulate needs it
+    import select  # only simulate needs these
+    from http.client import HTTPConnection, HTTPException, HTTPSConnection
 
     target = urllib.parse.urlsplit(url)
     connect = HTTPSConnection if target.scheme == "https" else HTTPConnection
@@ -291,8 +293,13 @@ def run_script(program, actions: list[ScriptAction], config: RunConfig,
     """Deterministic run under the virtual clock; returns the finished engine
     once every queued ACALL and webhook has been sent. ``loaded`` is called
     once the engine has loaded, before the first action. ``firing_log``, if
-    given, takes the firings in place of the engine's list."""
-    outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
+    given, takes the firings in place of the engine's list. Only a MODULE, a
+    MAP RELATION or a webhook sends HTTP: without one, no gateway is built."""
+    outbound = None
+    if program.modules or program.mappings or config.webhooks:
+        from .gateway import AsyncDelivery, OutboundClient
+
+        outbound = AsyncDelivery(OutboundClient(), config.call_timeout_ms)
     engine = Engine(program, config=config, clock=VirtualClock(0), outbound=outbound)
     if firing_log is not None:
         engine.firing_log = firing_log
@@ -307,7 +314,8 @@ def run_script(program, actions: list[ScriptAction], config: RunConfig,
                 engine.advance_to(at + advance)
         engine.close()
     finally:
-        outbound.close()
+        if outbound is not None:
+            outbound.close()
     return engine
 
 

@@ -9,7 +9,6 @@ A flag sets the config key of the same name, over the file. Recognized keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -19,16 +18,24 @@ DEFAULT_CALL_TIMEOUT_MS = 5000
 DEFAULT_WINDOW = 1024
 
 
-@dataclass
 class EngineConfig:
-    window_default: int = DEFAULT_WINDOW
-    window_overrides: dict[str, int] = field(default_factory=dict)
-    cascade_limit: int = DEFAULT_CASCADE_LIMIT
-    call_timeout_ms: int = DEFAULT_CALL_TIMEOUT_MS
-    queue_size: int = 1024
-    log_path: str | None = None
-    webhooks: dict[str, str] = field(default_factory=dict)
-    base_url: str | None = None
+    __slots__ = ("window_default", "window_overrides", "cascade_limit", "call_timeout_ms",
+                 "queue_size", "log_path", "webhooks", "base_url")
+
+    def __init__(self, window_default: int = DEFAULT_WINDOW,
+                 window_overrides: dict[str, int] | None = None,
+                 cascade_limit: int = DEFAULT_CASCADE_LIMIT,
+                 call_timeout_ms: int = DEFAULT_CALL_TIMEOUT_MS, queue_size: int = 1024,
+                 log_path: str | None = None, webhooks: dict[str, str] | None = None,
+                 base_url: str | None = None):
+        self.window_default = window_default
+        self.window_overrides = {} if window_overrides is None else window_overrides
+        self.cascade_limit = cascade_limit
+        self.call_timeout_ms = call_timeout_ms
+        self.queue_size = queue_size
+        self.log_path = log_path
+        self.webhooks = {} if webhooks is None else webhooks
+        self.base_url = base_url
 
     def validate(self) -> None:
         for label, value in [
@@ -44,10 +51,13 @@ class EngineConfig:
                 raise ConfigError(f"window.{name} must be positive, got {size}")
 
 
-@dataclass
 class RunConfig(EngineConfig):
-    host: str = "127.0.0.1"
-    port: int = 8080
+    __slots__ = ("host", "port")
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 8080, **engine):
+        super().__init__(**engine)
+        self.host = host
+        self.port = port
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -70,31 +80,24 @@ def _int(key: str, text: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {text!r}") from None
 
 
+# each plain key -> the attribute it sets, and whether its value is an integer
+_KEYS = {"host": ("host", False), "port": ("port", True), "window": ("window_default", True),
+         "cascade": ("cascade_limit", True), "call_timeout_ms": ("call_timeout_ms", True),
+         "queue": ("queue_size", True), "log": ("log_path", False), "base_url": ("base_url", False)}
+
+
 def apply_config_pairs(config: RunConfig, pairs: dict[str, str]) -> None:
     """Sets each key's value, then checks the whole config (``validate``)."""
     for key, value in pairs.items():
-        if key == "host":
-            config.host = value
-        elif key == "port":
-            config.port = _int(key, value)
-            if not 0 <= config.port <= 65535:  # 0 picks a free port
-                raise ConfigError(f"port must be in 0..65535, got {config.port}")
-        elif key == "window":
-            config.window_default = _int(key, value)
-        elif key.startswith("window."):
+        if key.startswith("window."):
             config.window_overrides[key.split(".", 1)[1]] = _int(key, value)
-        elif key == "cascade":
-            config.cascade_limit = _int(key, value)
-        elif key == "call_timeout_ms":
-            config.call_timeout_ms = _int(key, value)
-        elif key == "queue":
-            config.queue_size = _int(key, value)
-        elif key == "log":
-            config.log_path = value
         elif key.startswith("webhook."):
             config.webhooks[key.split(".", 1)[1]] = value
-        elif key == "base_url":
-            config.base_url = value
+        elif key in _KEYS:
+            name, integer = _KEYS[key]
+            setattr(config, name, _int(key, value) if integer else value)
+            if key == "port" and not 0 <= config.port <= 65535:  # 0 picks a free port
+                raise ConfigError(f"port must be in 0..65535, got {config.port}")
         else:
             raise ConfigError(f"unknown config key {key!r}")
     config.validate()

@@ -42,7 +42,6 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Protocol
 from urllib.parse import urljoin, urlsplit
@@ -73,24 +72,25 @@ BODY_LIMIT = 1024 * 1024
 # -- events ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ExternalInsert:
-    relation: str
-    values: tuple[Value, ...]
-    arrival_seq: int = 0
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class EndpointCall:
-    name: str
-    args: tuple[Value, ...]
-    arrival_seq: int = 0
+class ExternalInsert(ast.Node):
+    FIELDS = (("relation", str), ("values", tuple), ("arrival_seq", int, 0))
+
+    def __init__(self, relation: str, values: tuple[Value, ...], arrival_seq: int = 0):
+        # one per inserted row: set directly, not through the base's field loop
+        _set(self, "relation", relation)
+        _set(self, "values", values)
+        _set(self, "arrival_seq", arrival_seq)
 
 
-@dataclass(frozen=True, slots=True)
-class TimerTick:
-    name: str
-    arrival_seq: int = 0
+class EndpointCall(ast.Node):
+    FIELDS = (("name", str), ("args", tuple), ("arrival_seq", int, 0))
+
+
+class TimerTick(ast.Node):
+    FIELDS = (("name", str), ("arrival_seq", int, 0))
 
 
 Event = ExternalInsert | EndpointCall | TimerTick
@@ -148,9 +148,9 @@ class FiringStream:
         return self.written + len(self.pending)
 
 
-@dataclass(frozen=True, slots=True)
-class EventResult:
-    error: str | None = None  # why the event was aborted; what it fired is in firing_log
+class EventResult(ast.Node):
+    # error: why the event was aborted; what it fired is in firing_log
+    FIELDS = (("error", str, None),)
 
 
 _COMPLETED = EventResult()  # what every event that raised nothing returns
@@ -159,21 +159,23 @@ _COMPLETED = EventResult()  # what every event that raised nothing returns
 # -- engine-side state ------------------------------------------------------------
 
 
-@dataclass
 class RuleState:
-    decl: ast.RuleDecl
-    condition: Condition
-    body: Body
-    active: bool = True
-    depends_on: frozenset[str] = frozenset()
+    __slots__ = ("decl", "condition", "body", "active", "depends_on")
+
+    def __init__(self, decl: ast.RuleDecl, condition: Condition, body: Body,
+                 depends_on: frozenset[str]):
+        self.decl, self.condition, self.body = decl, condition, body
+        self.active = True
+        self.depends_on = depends_on
 
 
-@dataclass
 class TimerState:
-    decl: ast.TimerDecl
-    body: Body
-    running: bool = True
-    next_fire: int = 0
+    __slots__ = ("decl", "body", "running", "next_fire")
+
+    def __init__(self, decl: ast.TimerDecl, body: Body):
+        self.decl, self.body = decl, body
+        self.running = True
+        self.next_fire = 0
 
 
 class Outbound(Protocol):

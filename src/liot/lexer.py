@@ -22,33 +22,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 
+from .ast import STATEMENTS, Node
 from .errors import LexError
 from .values import NUMBER
 
-KEYWORDS = frozenset(
-    {
-        "RELATION",
-        "TRIGGER",
-        "ENDPOINT",
-        "TIMER",
-        "RULE",
-        "MODULE",
-        "MAP",
-        "START",
-        "STOP",
-        "ACTIVATE",
-        "DEACTIVATE",
-        "CHECK",
-        "CALL",
-        "ACALL",
-        "AND",
-        "OR",
-        "NOT",
-    }
-)
+# the declarations', the statements' (INSERT has none: a relation's name
+# starts it) and the boolean operators'
+KEYWORDS = frozenset(["RELATION", "TRIGGER", "ENDPOINT", "TIMER", "RULE", "MODULE", "MAP",
+                      *STATEMENTS.keys() - {"INSERT"}, "AND", "OR", "NOT"])
 
 STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
@@ -81,12 +64,9 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    value: object  # keyword/op/punct text, identifier, str payload, or float
-    line: int
-    column: int
+class Token(Node):
+    # value: keyword/op/punct text, identifier, str payload, or float
+    FIELDS = (("kind", TokenKind), ("value", object), ("line", int), ("column", int))
 
     def __repr__(self) -> str:
         return f"Token({self.kind.value} {self.value!r} @{self.line}:{self.column})"

@@ -15,11 +15,10 @@ whose nodes the resolver checks for shape before it reads them.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
 from functools import cache
 from itertools import chain
 from math import isfinite
-from typing import NoReturn, get_args, get_origin, get_type_hints
+from typing import NoReturn
 
 from . import ast
 from .errors import ParseError, SemanticError
@@ -63,39 +62,28 @@ class _Parser:
     # -- program structure -------------------------------------------------
 
     def parse_program(self) -> ast.Program:
-        relations: list[ast.RelationDecl] = []
-        triggers: list[ast.TriggerDecl] = []
-        endpoints: list[ast.EndpointDecl] = []
-        timers: list[ast.TimerDecl] = []
-        rules: list[ast.RuleDecl] = []
-        modules: list[ast.ModuleDecl] = []
-        mappings: list[ast.MapDecl] = []
+        # each declaration's keyword -> the Program field it goes in, and its parser
+        declarations = {
+            "RELATION": ("relations", self.parse_relation),
+            "TRIGGER": ("triggers", self.parse_trigger),
+            "ENDPOINT": ("endpoints", self.parse_endpoint),
+            "TIMER": ("timers", self.parse_timer),
+            "RULE": ("rules", self.parse_rule),
+            "MODULE": ("modules", self.parse_module),
+            "MAP": ("mappings", self.parse_map),
+        }
+        found: dict[str, list] = {name: [] for name, _ in declarations.values()}
         statements: list[ast.Statement] = []
-
         while True:
             self.skip_separators()
             token = self.current()
             if token.kind is TokenKind.EOF:
                 break
-            if token.kind is TokenKind.KEYWORD:
-                word = token.value
-                if word == "RELATION":
-                    relations.append(self.parse_relation())
-                elif word == "TRIGGER":
-                    triggers.append(self.parse_trigger())
-                elif word == "ENDPOINT":
-                    endpoints.append(self.parse_endpoint())
-                elif word == "TIMER":
-                    timers.append(self.parse_timer())
-                elif word == "RULE":
-                    rules.append(self.parse_rule())
-                elif word == "MODULE":
-                    modules.append(self.parse_module())
-                elif word == "MAP":
-                    mappings.append(self.parse_map())
-                else:
-                    statements.append(self.parse_statement())
-            elif token.kind is TokenKind.IDENT:
+            if token.kind is TokenKind.KEYWORD and token.value in declarations:
+                name, parse = declarations[token.value]  # type: ignore[index]
+                self.advance()
+                found[name].append(parse(ast.Pos(token.line, token.column)))
+            elif token.kind in (TokenKind.KEYWORD, TokenKind.IDENT):
                 statements.append(self.parse_statement())
             else:
                 raise ParseError(
@@ -103,58 +91,41 @@ class _Parser:
                     token.line,
                     token.column,
                 )
-
-        return ast.Program(
-            relations=tuple(relations),
-            triggers=tuple(triggers),
-            endpoints=tuple(endpoints),
-            timers=tuple(timers),
-            rules=tuple(rules),
-            modules=tuple(modules),
-            mappings=tuple(mappings),
-            top_level_statements=tuple(statements),
-        )
+        return ast.Program(**{name: tuple(decls) for name, decls in found.items()},
+                           top_level_statements=tuple(statements))
 
     def parse_ident(self, what: str) -> str:
         token = self.expect(TokenKind.IDENT, what=what)
         return token.value  # type: ignore[return-value]
 
-    def parse_ident_list(self) -> tuple[str, ...]:
-        names = [self.parse_ident("an identifier")]
-        while self.at(TokenKind.PUNCT, ","):
-            self.advance()
+    def parse_names(self, empty: bool = False) -> tuple[str, ...]:
+        """``( NAME, ... )``, or ``()`` where ``empty`` allows it."""
+        self.expect(TokenKind.PUNCT, "(")
+        names = []
+        if not (empty and self.at(TokenKind.PUNCT, ")")):
             names.append(self.parse_ident("an identifier"))
+            while self.at(TokenKind.PUNCT, ","):
+                self.advance()
+                names.append(self.parse_ident("an identifier"))
+        self.expect(TokenKind.PUNCT, ")")
         return tuple(names)
 
-    def parse_relation(self) -> ast.RelationDecl:
-        start = self.advance()
-        name = self.parse_ident("a relation name")
-        self.expect(TokenKind.PUNCT, "(")
-        fields = self.parse_ident_list()
-        self.expect(TokenKind.PUNCT, ")")
-        return ast.RelationDecl(name, fields, pos=ast.Pos(start.line, start.column))
+    # each declaration's parser starts past its keyword, at ``pos``
 
-    def parse_trigger(self) -> ast.TriggerDecl:
-        start = self.advance()
+    def parse_relation(self, pos: ast.Pos) -> ast.RelationDecl:
+        return ast.RelationDecl(self.parse_ident("a relation name"), self.parse_names(), pos)
+
+    def parse_trigger(self, pos: ast.Pos) -> ast.TriggerDecl:
         self.expect(TokenKind.PUNCT, "(")
         relation = self.parse_ident("a relation name")
         self.expect(TokenKind.PUNCT, ")")
-        body = self.parse_block()
-        return ast.TriggerDecl(relation, body, pos=ast.Pos(start.line, start.column))
+        return ast.TriggerDecl(relation, self.parse_block(), pos)
 
-    def parse_endpoint(self) -> ast.EndpointDecl:
-        start = self.advance()
+    def parse_endpoint(self, pos: ast.Pos) -> ast.EndpointDecl:
         name = self.parse_ident("an endpoint name")
-        self.expect(TokenKind.PUNCT, "(")
-        params: tuple[str, ...] = ()
-        if not self.at(TokenKind.PUNCT, ")"):
-            params = self.parse_ident_list()
-        self.expect(TokenKind.PUNCT, ")")
-        body = self.parse_block()
-        return ast.EndpointDecl(name, params, body, pos=ast.Pos(start.line, start.column))
+        return ast.EndpointDecl(name, self.parse_names(empty=True), self.parse_block(), pos)
 
-    def parse_timer(self) -> ast.TimerDecl:
-        start = self.advance()
+    def parse_timer(self, pos: ast.Pos) -> ast.TimerDecl:
         name = self.parse_ident("a timer name")
         self.expect(TokenKind.PUNCT, "(")
         interval_token = self.expect(TokenKind.NUMBER, what="an interval in milliseconds")
@@ -166,28 +137,17 @@ class _Parser:
                 interval_token.line,
                 interval_token.column,
             )
-        body = self.parse_block()
-        return ast.TimerDecl(name, int(interval), body, pos=ast.Pos(start.line, start.column))
+        return ast.TimerDecl(name, int(interval), self.parse_block(), pos)
 
-    def parse_rule(self) -> ast.RuleDecl:
-        start = self.advance()
+    def parse_rule(self, pos: ast.Pos) -> ast.RuleDecl:
         name = self.parse_ident("a rule name")
         condition, _ = self.parse_expression()
-        body = self.parse_block()
-        return ast.RuleDecl(name, condition, body, pos=ast.Pos(start.line, start.column))
+        return ast.RuleDecl(name, condition, self.parse_block(), pos)
 
-    def parse_module(self) -> ast.ModuleDecl:
-        start = self.advance()
-        name = self.parse_ident("a module name")
-        self.expect(TokenKind.PUNCT, "(")
-        outputs: tuple[str, ...] = ()
-        if not self.at(TokenKind.PUNCT, ")"):
-            outputs = self.parse_ident_list()
-        self.expect(TokenKind.PUNCT, ")")
-        return ast.ModuleDecl(name, outputs, pos=ast.Pos(start.line, start.column))
+    def parse_module(self, pos: ast.Pos) -> ast.ModuleDecl:
+        return ast.ModuleDecl(self.parse_ident("a module name"), self.parse_names(empty=True), pos)
 
-    def parse_map(self) -> ast.MapDecl:
-        start = self.advance()
+    def parse_map(self, pos: ast.Pos) -> ast.MapDecl:
         kind_token = self.current()
         if self.at(TokenKind.KEYWORD, "RELATION"):
             kind = "relation"
@@ -210,7 +170,7 @@ class _Parser:
             )
         if not target:
             raise ParseError("mapping target is empty", target_token.line, target_token.column)
-        return ast.MapDecl(kind, name, target, pos=ast.Pos(start.line, start.column))
+        return ast.MapDecl(kind, name, target, pos)
 
     # -- statements ----------------------------------------------------------
 
@@ -364,24 +324,24 @@ class _Parser:
 # -- resolution & validation ----------------------------------------------------
 
 
-_WHAT = {str: "a str", int: "an int", ast.Expression: "an expression"}
+_WHAT = {str: "a str", int: "an int", "Expression": "an expression"}
 
 
 @cache
 def _field_shapes(cls: type) -> list[tuple[str, bool, tuple[type, ...], str]]:
-    """Each field of a node class, but its position and a literal's value
-    (``check_literal`` checks that): its name, whether it holds a tuple, the
-    types it or each of its items may have, and those types in words."""
-    hints, shapes = get_type_hints(cls), []
-    for f in fields(cls):
-        hint = hints[f.name]
-        if f.name == "pos" or hint is ast.Value:
+    """Each field of a node class (``ast.Node.FIELDS``), but its position and
+    a literal's value (``check_literal`` checks that): its name, whether it
+    holds a tuple, the types it or each of its items may have, and those
+    types in words."""
+    shapes = []
+    for name, kind, *_ in cls.FIELDS:
+        if name == "pos" or kind is ast.Value:
             continue
-        many = get_origin(hint) is tuple  # tuple[X, ...]
+        many = type(kind) is tuple  # (T, ...)
         if many:
-            hint = get_args(hint)[0]
-        what = _WHAT.get(hint) or f"a {hint.__name__}"
-        shapes.append((f.name, many, get_args(hint) or (hint,), what))
+            kind = kind[0]
+        kinds = ast.Expression.__args__ if kind == "Expression" else (kind,)
+        shapes.append((name, many, kinds, _WHAT.get(kind) or f"a {kind.__name__}"))
     return shapes
 
 
@@ -428,11 +388,9 @@ class _Resolver:
 
     def run(self) -> ast.Program:
         p = self.program
-        self.check_unique((d.name for d in p.relations), "relation", p.relations)
-        self.check_unique((d.name for d in p.endpoints), "endpoint", p.endpoints)
-        self.check_unique((d.name for d in p.timers), "timer", p.timers)
-        self.check_unique((d.name for d in p.rules), "rule", p.rules)
-        self.check_unique((d.name for d in p.modules), "module", p.modules)
+        for kind, decls in (("relation", p.relations), ("endpoint", p.endpoints),
+                            ("timer", p.timers), ("rule", p.rules), ("module", p.modules)):
+            self.check_unique((d.name for d in decls), kind, decls)
         self.check_unique(((d.kind, d.name) for d in p.mappings), "mapping", p.mappings)
 
         for relation in p.relations:
@@ -458,7 +416,7 @@ class _Resolver:
             if trigger.relation in seen_trigger_relations:
                 self.fail(f"relation {trigger.relation} already has a trigger", trigger.pos)
             seen_trigger_relations.add(trigger.relation)
-            triggers.append(replace(trigger, body=self.resolve_block(trigger.body)))
+            triggers.append(trigger.replace(body=self.resolve_block(trigger.body)))
 
         endpoints = []
         for endpoint in p.endpoints:
@@ -469,17 +427,17 @@ class _Resolver:
                         f"endpoint {endpoint.name}: parameter {param} shadows a relation",
                         endpoint.pos,
                     )
-            endpoints.append(replace(endpoint, body=self.resolve_block(endpoint.body)))
+            endpoints.append(endpoint.replace(body=self.resolve_block(endpoint.body)))
 
         for timer in p.timers:  # as the parser checks the interval's token
             if timer.interval_ms < 1:
                 self.fail("timer interval must be a positive integer of milliseconds", timer.pos)
-        timers = [replace(t, body=self.resolve_block(t.body)) for t in p.timers]
+        timers = [t.replace(body=self.resolve_block(t.body)) for t in p.timers]
 
         rules = []
         for rule in p.rules:
             condition = self.resolve_condition(rule.condition, rule)
-            rules.append(replace(rule, condition=condition, body=self.resolve_block(rule.body)))
+            rules.append(rule.replace(condition=condition, body=self.resolve_block(rule.body)))
 
         for mapping in p.mappings:
             if mapping.kind not in ("relation", "module"):
@@ -493,9 +451,9 @@ class _Resolver:
                     f"mapping references unknown {mapping.kind} {mapping.name}", mapping.pos
                 )
 
-        return replace(p, triggers=tuple(triggers), endpoints=tuple(endpoints),
-                       timers=tuple(timers), rules=tuple(rules),
-                       top_level_statements=self.resolve_block(p.top_level_statements))
+        return p.replace(triggers=tuple(triggers), endpoints=tuple(endpoints),
+                         timers=tuple(timers), rules=tuple(rules),
+                         top_level_statements=self.resolve_block(p.top_level_statements))
 
     def check_unique(self, names, kind: str, decls) -> None:
         seen: set = set()
@@ -579,7 +537,7 @@ class _Resolver:
             if len(stmt.args) != len(fields):
                 self.fail(f"relation {stmt.target} takes {len(fields)} values, "
                           f"got {len(stmt.args)}", stmt.pos)
-        return replace(stmt, args=tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args))
+        return stmt.replace(args=tuple(self.resolve_arg(a, stmt.pos) for a in stmt.args))
 
 
 def parse_program(source: str) -> ast.Program:

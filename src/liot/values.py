@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from decimal import Decimal
 from math import isfinite
 
 from .errors import ScalarError
@@ -89,6 +88,8 @@ def format_number(value: float) -> str:
         return str(int(value))
     text = repr(value)
     if "e" in text:
+        from decimal import Decimal  # only a number this large or small needs it
+
         text = format(Decimal(text), "f")
     return text
 

@@ -19,6 +19,7 @@ import pytest
 
 import liot.cli
 import liot.engine
+import liot.gateway
 from liot.cli import (
     ScriptAction,
     generate_requests,
@@ -401,12 +402,38 @@ def test_script_output_identical_across_runs(tmp_path):
 HEAVY_MODULES = ("http.server", "http.client", "email", "ssl", "socketserver")
 
 
-def heavy_imports(importtime_stderr):
-    """Modules of HEAVY_MODULES (or inside them) named in ``-X importtime`` output."""
+# What a command that serves nothing and sends no HTTP never runs: dataclasses
+# (which imports inspect), the gateway and runtime with their sockets, the
+# formatter, and decimal, which formats only a number that repr writes with
+# an exponent.
+UNUSED_BY_CHECK_AND_SCRIPT = ("dataclasses", "inspect", "socket", "decimal", "liot.gateway",
+                              "liot.runtime", "liot.formatter")
+
+
+def imported_modules(importtime_stderr):
+    """Every module named in ``-X importtime`` output."""
     names = {line.rsplit("|", 1)[1].strip()
              for line in importtime_stderr.splitlines() if line.startswith("import time:")}
     assert "liot.cli" in names
-    return sorted(n for n in names if n in HEAVY_MODULES or n.split(".")[0] in ("email", "ssl"))
+    return names
+
+
+def heavy_imports(importtime_stderr):
+    """Modules of HEAVY_MODULES (or inside them) named in ``-X importtime`` output."""
+    return sorted(n for n in imported_modules(importtime_stderr)
+                  if n in HEAVY_MODULES or n.split(".")[0] in ("email", "ssl"))
+
+
+def test_check_and_a_script_that_sends_no_http_import_only_what_they_run(tmp_path):
+    program = write(tmp_path, "t.liot", COMPOSITE[:COMPOSITE.index("MODULE")])  # no MODULE or MAP
+    script = write(tmp_path, "s.jsonl", script_lines(
+        {"at": 5, "insert": {"rel": "R", "v": ["aa", -87.5]}}, {"at": 5, "advance": 3000}))
+    env = {**os.environ, "PYTHONPROFILEIMPORTTIME": "1"}
+    for args in (["check", program], ["script", program, script]):
+        result = subprocess.run([sys.executable, "-m", "liot", *args], capture_output=True,
+                                text=True, env=env, timeout=20, check=True)
+        unused = imported_modules(result.stderr) & set(UNUSED_BY_CHECK_AND_SCRIPT)
+        assert sorted(unused) == [], args
 
 
 def test_check_script_and_run_do_not_import_the_http_stack(tmp_path):
@@ -846,7 +873,8 @@ def test_interrupt_during_replay_exits_0_and_closes_everything(tmp_path, monkeyp
     def interrupted_replay(store, path):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(liot.cli, "GatewayServer", RecordingServer)
+    # serving imports the gateway when it is called, so the class is patched there
+    monkeypatch.setattr(liot.gateway, "GatewayServer", RecordingServer)
     monkeypatch.setattr(liot.engine, "replay_log", interrupted_replay)
     try:
         code = main(["run", program, "--port", "0", "--log", log])

@@ -413,14 +413,17 @@ def deep_program(shape, depth):
 
 @pytest.mark.parametrize("shape", DEEP_CONDITIONS)
 def test_a_condition_at_the_depth_bound_goes_through_every_stage(shape):
-    # the text is compared, as dataclass equality recurses past the limit here
+    # == and repr walk the tree without recursion, so the formatter's
+    # round-trip contract holds at the bound, on the trees and on their text
     from liot.engine import Engine
     from liot.formatter import format_program
 
     program = parse_program(deep_program(shape, ast.MAX_DEPTH))
     Engine(program)
     text = format_program(program)
+    assert parse_program(text) == program
     assert format_program(parse_program(text)) == text
+    assert repr(program).startswith("Program(relations=(RelationDecl(name='R'")
 
 
 @pytest.mark.parametrize("shape", DEEP_CONDITIONS)
