@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
 A flag of ``run`` or ``script`` is the config key of the same name.
 
 ``simulate`` turns each ``--gen`` into a field and its ``draw(rng)`` closure.
-``script`` decodes its JSON Lines with ``values.load_json_line``, the decoder
-log replay uses too, and streams the engine's firing log to stdout as the run
+``script`` reads its JSON Lines a line at a time, each line ending at ``"\\n"``,
+and decodes each with ``values.load_json_line``, the decoder log replay uses
+too. It keeps the script as columns (``Script``) and builds each action as
+the run reaches it. It streams the engine's firing log to stdout as the run
 goes: a ``FiringStream`` writes each full chunk of firings, and the last,
 partial chunk goes out through ``export_firing_log`` once the run ends.
 """
@@ -17,10 +19,12 @@ import gc
 import sys
 import time
 import urllib.parse
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
-from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol
 
 from .clock import VirtualClock
 from .config import DEFAULT_CALL_TIMEOUT_MS, RunConfig, apply_config_pairs, read_config_file
@@ -136,7 +140,15 @@ def cmd_run(args: argparse.Namespace, loaded: Callable[[], None]) -> int:
 # -- simulate -----------------------------------------------------------------------
 
 
-def parse_gen_spec(text: str) -> tuple[str, Callable[[random.Random], Value]]:
+class Rng(Protocol):
+    """What a draw uses of the one seeded ``random.Random``."""
+
+    def uniform(self, a: float, b: float) -> float: ...
+
+    def randrange(self, stop: int) -> int: ...
+
+
+def parse_gen_spec(text: str) -> tuple[str, Callable[[Rng], Value]]:
     """``FIELD=constant:V`` | ``FIELD=uniform:MIN:MAX`` | ``FIELD=choice:a,b,c``;
     returns the field and its ``draw(rng)``."""
     if "=" not in text:
@@ -161,7 +173,7 @@ def parse_gen_spec(text: str) -> tuple[str, Callable[[random.Random], Value]]:
     raise ConfigError(f"unknown generator {kind!r}")
 
 
-def generate_requests(gens: list[tuple[str, Callable[[random.Random], Value]]], count: int,
+def generate_requests(gens: list[tuple[str, Callable[[Rng], Value]]], count: int,
                       seed: int) -> list[list[tuple[str, str]]]:
     """The full deterministic parameter sequence of ``count`` requests.
 
@@ -236,62 +248,115 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 class ScriptAction(NamedTuple):
+    """One action by name, as a caller builds it; a loaded ``Script`` gives
+    the equal plain tuple."""
+
     at: int
     insert: tuple[str, tuple[Value, ...]] | None = None
     advance: int | None = None
 
 
-# ScriptAction((at, insert, advance)) without the Python-level __new__
-_action = partial(tuple.__new__, ScriptAction)
+# The latest time a script may reach: each "at" is kept in a 64-bit column,
+# and no advance may carry the clock past it either.
+LAST_MS = 2**63 - 1
 
 
-def load_script(path: str | Path) -> list[ScriptAction]:
+class Script(Sequence):
+    """A loaded script, kept as columns. Its items are ``(at, (rel, values),
+    None)`` for an insert and ``(at, None, advance)`` for an advance, plain
+    tuples built as they are reached.
+
+    Per action, ``at`` holds its time, ``rels`` its relation name (one
+    string per name) or None for an advance, and ``offsets`` where it starts
+    in ``values``, which holds each insert's raw values and each advance's
+    length; a last offset marks where the last action ends.
+    """
+
+    __slots__ = ("at", "rels", "offsets", "values")
+
+    def __init__(self, at: array, rels: list[str | None], offsets: array, values: list) -> None:
+        self.at, self.rels, self.offsets, self.values = at, rels, offsets, values
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, index: int) -> tuple:
+        index = range(len(self.at))[index]  # IndexError, or a negative index counted from the end
+        start, rel = self.offsets[index], self.rels[index]
+        if rel is None:
+            return (self.at[index], None, self.values[start])
+        return (self.at[index], (rel, tuple(self.values[start:self.offsets[index + 1]])), None)
+
+    def __iter__(self) -> Iterator[tuple]:
+        values, offsets = self.values, self.offsets
+        for at, rel, start, end in zip(self.at, self.rels, offsets, islice(offsets, 1, None)):
+            if rel is None:
+                yield (at, None, values[start])
+            else:
+                yield (at, (rel, tuple(values[start:end])), None)
+
+
+def load_script(path: str | Path) -> Script:
     """JSON Lines of ``{"at": MS, "insert": {"rel": R, "v": [...]}}`` or
-    ``{"at": MS, "advance": MS}``; ``at`` must be non-decreasing and must not
-    fall inside a preceding advance, which moves the clock to ``at + MS``."""
-    actions: list[ScriptAction] = []
+    ``{"at": MS, "advance": MS}``, one line to each ``"\\n"``, read a line at
+    a time; ``at`` must be non-decreasing and must not fall inside a
+    preceding advance, which moves the clock to ``at + MS``, and no time may
+    pass ``LAST_MS``."""
+    at_column, rels, offsets, values = array("q"), [], array("q"), []
     last_at = 0  # where the previous action left the clock
-    for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            entry = load_json_line(line)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line_number}: invalid JSON: {exc}") from None
-        if type(entry) is not dict or "at" not in entry:
-            raise ConfigError(f"{path}:{line_number}: action needs an \"at\" time")
-        at = entry["at"]
-        if type(at) is not int or at < last_at:  # JSON true/false are not times
-            raise ConfigError(
-                f"{path}:{line_number}: \"at\" must be an integer no earlier than {last_at}, "
-                "where the previous action left the clock"
-            )
-        last_at = at
-        if "insert" in entry:
-            spec = entry["insert"]
-            if (type(spec) is not dict or type(spec.get("rel")) is not str
-                    or type(spec.get("v")) is not list):
-                raise ConfigError(f"{path}:{line_number}: insert needs a string \"rel\" "
-                                  "and an array \"v\" of values")
-            # one string per relation name, not one decoded copy per insert
-            actions.append(_action((at, (sys.intern(spec["rel"]), tuple(spec["v"])), None)))
-        elif "advance" in entry:
-            delta = entry["advance"]
-            if type(delta) is not int or delta < 0:
-                raise ConfigError(f"{path}:{line_number}: advance must be a non-negative integer")
-            actions.append(_action((at, None, delta)))
-            last_at = at + delta
-        else:
-            raise ConfigError(f"{path}:{line_number}: action needs \"insert\" or \"advance\"")
-    return actions
+    with open(path, encoding="utf-8", newline="\n") as lines:  # split at "\n" only
+        for line_number, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                entry = load_json_line(line)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line_number}: invalid JSON: {exc}") from None
+            if type(entry) is not dict or "at" not in entry:
+                raise ConfigError(f"{path}:{line_number}: action needs an \"at\" time")
+            at = entry["at"]
+            if type(at) is not int or at < last_at:  # JSON true/false are not times
+                raise ConfigError(
+                    f"{path}:{line_number}: \"at\" must be an integer no earlier than {last_at}, "
+                    "where the previous action left the clock"
+                )
+            if at > LAST_MS:
+                raise ConfigError(f"{path}:{line_number}: \"at\" must be at most {LAST_MS}")
+            last_at = at
+            at_column.append(at)
+            offsets.append(len(values))
+            if "insert" in entry:
+                spec = entry["insert"]
+                if (type(spec) is not dict or type(rel := spec.get("rel")) is not str
+                        or type(row := spec.get("v")) is not list):
+                    raise ConfigError(f"{path}:{line_number}: insert needs a string \"rel\" "
+                                      "and an array \"v\" of values")
+                rels.append(sys.intern(rel))  # one string per relation name, not one per insert
+                values.extend(row)
+            elif "advance" in entry:
+                delta = entry["advance"]
+                if type(delta) is not int or delta < 0:
+                    raise ConfigError(
+                        f"{path}:{line_number}: advance must be a non-negative integer")
+                last_at = at + delta
+                if last_at > LAST_MS:
+                    raise ConfigError(f"{path}:{line_number}: advance must not move the clock "
+                                      f"past {LAST_MS}")
+                rels.append(None)
+                values.append(delta)
+            else:
+                raise ConfigError(f"{path}:{line_number}: action needs \"insert\" or \"advance\"")
+    offsets.append(len(values))
+    return Script(at_column, rels, offsets, values)
 
 
-def run_script(program, actions: list[ScriptAction], config: RunConfig,
+def run_script(program, actions: Iterable[tuple], config: RunConfig,
                loaded: Callable[[], None] = lambda: None,
                firing_log: FiringStream | None = None) -> Engine:
-    """Deterministic run under the virtual clock; returns the finished engine
-    once every queued ACALL and webhook has been sent. ``loaded`` is called
+    """Deterministic run of ``actions``, a loaded ``Script`` or any iterable
+    of ``ScriptAction`` triples, under the virtual clock; returns the finished
+    engine once every queued ACALL and webhook has been sent. ``loaded`` is called
     once the engine has loaded, before the first action. ``firing_log``, if
     given, takes the firings in place of the engine's list. Only a MODULE, a
     MAP RELATION or a webhook sends HTTP: without one, no gateway is built."""

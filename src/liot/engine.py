@@ -39,7 +39,6 @@ a ``FiringStream``, which writes the firings out a chunk at a time.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from collections import deque
 from functools import partial
@@ -62,8 +61,6 @@ from .evaluator import Body, Call, Condition, compile_functions, eval_condition
 from .parser import resolve_program
 from .store import PersistenceLog, Record, Store, replay_log
 from .values import Value, dump_json, ensure_value, parse_query_value, type_name, value_to_param
-
-logger = logging.getLogger("liot.engine")
 
 # Bytes a module's reply body may hold; a longer one is a malformed-body error.
 BODY_LIMIT = 1024 * 1024
@@ -192,7 +189,9 @@ class _NoOutbound:
         raise ModuleCallError("target", f"no outbound HTTP client configured for {url}")
 
     def submit_async(self, url, params):
-        logger.warning("async GET dropped (no outbound client): %s", url)
+        import logging  # imported by the first message: most commands log none
+
+        logging.getLogger("liot.engine").warning("async GET dropped (no outbound client): %s", url)
 
 
 def _row_params(fields: tuple[str, ...], values: Iterable[Value]) -> list[tuple[str, str]]:
@@ -363,7 +362,9 @@ class Engine:
 
     def _log_event_error(self, message: str) -> None:
         self.event_errors.append(message)
-        logger.error("%s", message)
+        import logging  # imported by the first message: most commands log none
+
+        logging.getLogger("liot.engine").error("%s", message)
 
     def _run_endpoint(self, event: EndpointCall) -> None:
         endpoint = self._endpoints_by_name.get(event.name)

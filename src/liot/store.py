@@ -19,7 +19,6 @@ the window deques themselves, so ``replay_log`` refills a window in place.
 
 from __future__ import annotations
 
-import logging
 import threading
 from collections import deque
 from functools import partial
@@ -38,8 +37,6 @@ from .errors import (
     UnknownRelationError,
 )
 from .values import Value, dump_json, ensure_value, load_json_line, value_from_json, value_to_json
-
-logger = logging.getLogger("liot.store")
 
 
 class Record(NamedTuple):
@@ -273,8 +270,11 @@ def replay_log(store: Store, path: str | Path) -> int:
         if raw and not raw.endswith(b"\n"):
             if torn or not line:  # blank counts as torn: it is not one JSON value
                 handle.truncate(handle.tell() - len(raw))
-                logger.warning("log line %d was torn (%d bytes, no newline): cut off the log",
-                               line_number, len(raw))
+                import logging  # imported by the first message: most commands log none
+
+                logging.getLogger("liot.store").warning(
+                    "log line %d was torn (%d bytes, no newline): cut off the log",
+                    line_number, len(raw))
             else:
                 handle.write(b"\n")
     with store.lock:

@@ -120,17 +120,19 @@ def parse_query_value(text: str) -> Value:
     return text
 
 
-_raw_decode = json.JSONDecoder().raw_decode  # unlike json.loads, tells where the value ends
+# the scanner under JSONDecoder.raw_decode: unlike json.loads, it tells where
+# the value ends
+_scan_once = json.JSONDecoder().scan_once
 
 
 def load_json_line(line: str) -> object:
     """The one JSON value in a stripped line, decoded once. A line that is not
     one JSON value alone raises the ValueError that ``json.loads`` words."""
     try:
-        value, end = _raw_decode(line)
+        value, end = _scan_once(line, 0)
         if end == len(line):
             return value
-    except ValueError:  # JSONDecodeError, or an integer past the digit limit
+    except (StopIteration, ValueError):  # no value, a bad one, or an integer past the digit limit
         pass
     return json.loads(line)
 

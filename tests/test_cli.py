@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import typing
 import urllib.parse
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -35,7 +36,7 @@ from liot.errors import ConfigError
 from liot.gateway import GatewayServer
 from liot.parser import parse_program
 from liot.runtime import EngineRuntime
-from liot.values import parse_query_value
+from liot.values import Value, parse_query_value
 
 from .helpers import get_json, http_get, liot_threads, record_wire, running_stack, stub_server
 
@@ -163,6 +164,13 @@ def test_gen_spec_parsing():
         parse_gen_spec("nonsense")
     with pytest.raises(ConfigError):
         parse_gen_spec("F=uniform:1")
+
+
+def test_the_simulate_helpers_annotations_resolve():
+    # random is imported only when simulate draws, so no annotation may name it
+    draw = typing.Callable[[liot.cli.Rng], Value]
+    assert typing.get_type_hints(parse_gen_spec)["return"] == tuple[str, draw]
+    assert typing.get_type_hints(generate_requests)["gens"] == list[tuple[str, draw]]
 
 
 def test_seeded_generation_is_reproducible():
@@ -404,10 +412,10 @@ HEAVY_MODULES = ("http.server", "http.client", "email", "ssl", "socketserver")
 
 # What a command that serves nothing and sends no HTTP never runs: dataclasses
 # (which imports inspect), the gateway and runtime with their sockets, the
-# formatter, and decimal, which formats only a number that repr writes with
-# an exponent.
-UNUSED_BY_CHECK_AND_SCRIPT = ("dataclasses", "inspect", "socket", "decimal", "liot.gateway",
-                              "liot.runtime", "liot.formatter")
+# formatter, decimal, which formats only a number that repr writes with an
+# exponent, and logging, which only a logged message needs.
+UNUSED_BY_CHECK_AND_SCRIPT = ("dataclasses", "inspect", "socket", "decimal", "logging",
+                              "liot.gateway", "liot.runtime", "liot.formatter")
 
 
 def imported_modules(importtime_stderr):
@@ -557,9 +565,14 @@ def test_load_script_shapes(tmp_path):
         tmp_path, "s.jsonl",
         script_lines({"at": 0, "insert": {"rel": "R", "v": [1, "x"]}}, {"at": 3, "advance": 7}),
     )
-    actions = load_script(path)
-    assert actions[0].insert == ("R", (1, "x"))
-    assert actions[1].advance == 7
+    actions = list(load_script(path))
+    # plain triples, the values a tuple as an aborted event's text shows them
+    assert actions == [(0, ("R", (1, "x")), None), (3, None, 7)]
+    assert type(actions[0][1][1]) is tuple
+    script = load_script(path)
+    assert (len(script), script[-1], script[0]) == (2, actions[1], actions[0])
+    with pytest.raises(IndexError):
+        script[2]
     # built by keyword, as callers outside the loader build them
     insert = ScriptAction(at=0, insert=("R", (1, "x")))
     advance = ScriptAction(at=3, advance=7)
@@ -586,6 +599,70 @@ def test_load_script_error_text(tmp_path, line, error):
         with pytest.raises(ConfigError) as caught:
             load_script(path)
         assert str(caught.value) == f"{path}:2: {error}"
+
+
+def test_script_lines_end_at_newline_only(tmp_path):
+    # str.splitlines would also break a line at each of these, inside the text
+    text = "a\u2028b\u2029c\x85d"
+    first = json.dumps({"at": 1, "insert": {"rel": "R", "v": [text]}}, ensure_ascii=False)
+    path = tmp_path / "s.jsonl"
+    path.write_text(f"{first}\r\n{first}\n", encoding="utf-8")
+    assert list(load_script(path)) == [(1, ("R", (text,)), None)] * 2
+    path.write_text(f"{first}\n{first}\nnot json\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_script(path)
+    assert str(caught.value) == f"{path}:3: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+
+
+def test_script_times_stop_at_the_largest_64_bit_integer(tmp_path, capsys):
+    program = write(tmp_path, "t.liot", "RELATION R (X)\nTRIGGER (R) { }")
+    last = 2**63 - 1
+    script = write(tmp_path, "s.jsonl", script_lines(
+        {"at": 0, "advance": last - 1}, {"at": last, "insert": {"rel": "R", "v": [1]}}))
+    assert main(["script", program, script]) == 0
+    assert capsys.readouterr().out == f'{{"seq":1,"kind":"trigger","name":"R","t":{last}}}\n'
+    for past, error in [({"at": last + 1, "insert": {"rel": "R", "v": [1]}},
+                         f'"at" must be at most {last}'),
+                        ({"at": 2, "advance": last - 1},
+                         f"advance must not move the clock past {last}")]:
+        script = write(tmp_path, "s.jsonl", script_lines({"at": 1, "advance": 0}, past))
+        assert main(["script", program, script]) == 1
+        assert capsys.readouterr() == ("", f"error: {script}:2: {error}\n")
+
+
+def reading_script(tmp_path, inserts):
+    """A script of ``inserts`` one-value inserts of float readings."""
+    rng = random.Random(7)
+    at = 0
+    lines = []
+    for _ in range(inserts):
+        at += rng.randrange(20)
+        reading = round(rng.uniform(-90, -30), 1)
+        lines.append({"at": at, "insert": {"rel": f"S{rng.randrange(8)}", "v": [reading]}})
+    return write(tmp_path, f"s{inserts}.jsonl", script_lines(*lines))
+
+
+def test_a_loaded_script_keeps_its_columns_and_reads_a_line_at_a_time(tmp_path):
+    def traced(inserts):
+        """Bytes the load keeps per action, and how far its peak rose above them."""
+        path = reading_script(tmp_path, inserts)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        script = load_script(path)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert len(script) == inserts
+        return (kept - start) / inserts, peak - kept
+
+    tracemalloc.start()
+    try:
+        small_kept, small_excess = traced(20_000)
+        large_kept, large_excess = traced(40_000)
+    finally:
+        tracemalloc.stop()
+    # a time, an offset, a relation and one value slot each, plus the float
+    assert small_kept < 60 and large_kept < 60
+    # one line at a time: the file's text is never held whole
+    assert large_excess < small_excess + 8 * 1024 and small_excess < 64 * 1024
 
 
 def test_script_with_persistence_log(tmp_path, capsys):
